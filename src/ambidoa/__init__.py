@@ -10,7 +10,6 @@ from .geometry import (
     to_spherical,
 )
 from .acoustics import (
-    AcousticPath,
     PathSet,
     RoomConfig,
     Scene,

@@ -23,7 +23,6 @@ __all__ = [
     "SPEED_OF_SOUND",
     "RoomConfig",
     "Scene",
-    "AcousticPath",
     "PathSet",
     "sample_scenes",
     "save_scenes",
@@ -106,29 +105,17 @@ class Scene:
             raise ValueError("source and listener must differ")
 
 
-@dataclass(frozen=True)
-class AcousticPath:
-    """One arrival at the listener: unit direction (listener toward the
-    apparent source), delay in seconds, signed linear amplitude."""
-
-    direction: np.ndarray
-    delay: float
-    amplitude: float
-    order: int
-    kind: str  # "specular" | "diffuse"
-
-
 @dataclass
 class PathSet:
-    """Arrival set in struct-of-arrays form; indexes like a sequence of
-    :class:`AcousticPath`. ``emitted_energy`` records the tracer's budget
+    """Arrivals at the listener in struct-of-arrays form, directions pointing
+    toward the apparent source. ``emitted_energy`` records the tracer's budget
     (1.0) so conservation can be checked; the image-source method leaves it
     NaN because its amplitudes are exact pressures, not Monte-Carlo energy.
     """
 
     directions: np.ndarray  # (n, 3) unit vectors
     delays: np.ndarray  # (n,) seconds
-    amplitudes: np.ndarray  # (n,)
+    amplitudes: np.ndarray  # (n,) signed linear
     orders: np.ndarray  # (n,) int
     diffuse: np.ndarray  # (n,) bool
     emitted_energy: float = math.nan
@@ -136,31 +123,19 @@ class PathSet:
     def __len__(self):
         return self.delays.shape[0]
 
-    def __getitem__(self, i) -> AcousticPath:
-        return AcousticPath(
-            direction=self.directions[i],
-            delay=float(self.delays[i]),
-            amplitude=float(self.amplitudes[i]),
-            order=int(self.orders[i]),
-            kind="diffuse" if self.diffuse[i] else "specular",
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
     @property
     def received_energy(self):
         return float(np.sum(self.amplitudes**2))
 
-    @staticmethod
-    def concatenate(sets):
-        sets = list(sets)
+    def select(self, index):
+        """Arrivals picked by a boolean mask or an index array; keeps the budget."""
         return PathSet(
-            directions=np.concatenate([s.directions for s in sets]),
-            delays=np.concatenate([s.delays for s in sets]),
-            amplitudes=np.concatenate([s.amplitudes for s in sets]),
-            orders=np.concatenate([s.orders for s in sets]),
-            diffuse=np.concatenate([s.diffuse for s in sets]),
+            directions=self.directions[index],
+            delays=self.delays[index],
+            amplitudes=self.amplitudes[index],
+            orders=self.orders[index],
+            diffuse=self.diffuse[index],
+            emitted_energy=self.emitted_energy,
         )
 
 
@@ -314,14 +289,14 @@ def image_source_paths(scene: Scene, max_order):
     )
     amplitudes = gains / dist
 
-    sort = np.argsort(delays, kind="stable")
-    return PathSet(
-        directions=directions[sort],
-        delays=delays[sort],
-        amplitudes=amplitudes[sort],
-        orders=order[sort].astype(np.int64),
-        diffuse=np.zeros(len(sort), dtype=bool),
+    paths = PathSet(
+        directions=directions,
+        delays=delays,
+        amplitudes=amplitudes,
+        orders=order.astype(np.int64),
+        diffuse=np.zeros(len(delays), dtype=bool),
     )
+    return paths.select(np.argsort(delays, kind="stable"))
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +365,12 @@ def trace_paths(scene: Scene, n_rays, max_bounces, receiver_radius, rng_seed=0):
     can_detect = np.ones(n_rays, dtype=bool)  # off on the segment after a rain event
     had_diffuse = np.zeros(n_rays, dtype=bool)
 
-    out_dir, out_delay, out_amp, out_order, out_diff = [], [], [], [], []
+    # seeded with empty arrays so one concatenate also covers no arrivals
+    out_dir, out_delay, out_amp = [np.zeros((0, 3))], [np.zeros(0)], [np.zeros(0)]
+    out_order, out_diff = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=bool)]
 
     def emit(directions, delays, energies, orders, diffuse_flags):
         keep = energies > 0.0
-        if not np.any(keep):
-            return
         out_dir.append(directions[keep])
         out_delay.append(delays[keep])
         out_amp.append(np.sqrt(energies[keep]))
@@ -480,33 +455,15 @@ def trace_paths(scene: Scene, n_rays, max_bounces, receiver_radius, rng_seed=0):
             had_diffuse[diff_idx] = True
             can_detect[diff_idx] = False
 
-    if out_dir:
-        paths = PathSet(
-            directions=np.concatenate(out_dir),
-            delays=np.concatenate(out_delay),
-            amplitudes=np.concatenate(out_amp),
-            orders=np.concatenate(out_order),
-            diffuse=np.concatenate(out_diff),
-            emitted_energy=1.0,
-        )
-    else:
-        paths = PathSet(
-            directions=np.zeros((0, 3)),
-            delays=np.zeros(0),
-            amplitudes=np.zeros(0),
-            orders=np.zeros(0, dtype=np.int64),
-            diffuse=np.zeros(0, dtype=bool),
-            emitted_energy=1.0,
-        )
-    sort = np.argsort(paths.delays, kind="stable")
-    return PathSet(
-        directions=paths.directions[sort],
-        delays=paths.delays[sort],
-        amplitudes=paths.amplitudes[sort],
-        orders=paths.orders[sort],
-        diffuse=paths.diffuse[sort],
+    paths = PathSet(
+        directions=np.concatenate(out_dir),
+        delays=np.concatenate(out_delay),
+        amplitudes=np.concatenate(out_amp),
+        orders=np.concatenate(out_order),
+        diffuse=np.concatenate(out_diff),
         emitted_energy=1.0,
     )
+    return paths.select(np.argsort(paths.delays, kind="stable"))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .acoustics import load_scenes, sample_scenes, save_scenes, image_source_paths, trace_paths
+from .acoustics import load_scenes, sample_scenes, save_scenes
 from .estimator import (
     Formulation,
     NetworkConfig,
@@ -38,7 +38,9 @@ from .evaluate import (
     load_manifest,
     net_window_predictor,
     music_window_predictor,
+    propagate,
     render_dataset,
+    sample_rng,
     tolerance_accuracy,
     track,
 )
@@ -94,28 +96,17 @@ def cmd_simulate(args):
     os.makedirs(args.out, exist_ok=True)
     save_scenes(scenes, os.path.join(args.out, "scenes.json"), seed=args.seed)
     if args.write_irs:
+        cfg = RenderConfig(
+            method=args.method,
+            max_order=args.max_order,
+            n_rays=args.rays,
+            max_bounces=args.max_bounces,
+            receiver_radius=args.receiver_radius,
+            ir_seconds=args.ir_seconds,
+        )
         for i, scene in enumerate(scenes):
-            if args.method == "image":
-                paths = image_source_paths(scene, args.max_order)
-            else:
-                paths = trace_paths(
-                    scene,
-                    n_rays=args.rays,
-                    max_bounces=args.max_bounces,
-                    receiver_radius=args.receiver_radius,
-                    rng_seed=args.seed + i,
-                )
-            keep = paths.delays < args.ir_seconds
-            from .acoustics import PathSet
-
-            paths = PathSet(
-                directions=paths.directions[keep],
-                delays=paths.delays[keep],
-                amplitudes=paths.amplitudes[keep],
-                orders=paths.orders[keep],
-                diffuse=paths.diffuse[keep],
-            )
-            ir = encode_srir(paths, 16000, int(args.ir_seconds * 16000))
+            paths = propagate(scene, cfg, sample_rng(args.seed, i))
+            ir = encode_srir(paths, cfg.sample_rate, cfg.ir_length)
             write_wav(os.path.join(args.out, f"ir_{i:06d}.wav"), ir)
     _write_run_json(args.out, "simulate", vars(args))
     print(f"wrote {len(scenes)} scenes to {args.out}/scenes.json")

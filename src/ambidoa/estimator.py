@@ -93,6 +93,17 @@ class NetworkConfig:
     frames: int = 25
     freq_bins: int = 513
 
+    def __post_init__(self):
+        if len(self.conv_channels) != len(self.pool_factors):
+            raise ValueError("conv_channels and pool_factors must have equal length")
+        for name in ("conv_channels", "pool_factors"):
+            values = getattr(self, name)
+            if not values or min(values) < 1:
+                raise ValueError(f"{name} must hold positive values, got {values}")
+        if self.flat_width < 1:
+            raise ValueError(f"pool_factors {self.pool_factors} leave no bin of "
+                             f"freq_bins={self.freq_bins}")
+
     @staticmethod
     def paper():
         """Full-scale topology: stage outputs 64x25x64, 64x25x8, 64x25x2 on a
@@ -175,18 +186,21 @@ class TrainConfig:
             raise ValueError("learning rate must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.clip_norm is not None and self.clip_norm < 0:
+            raise ValueError(f"clip_norm must be >= 0 or None, got {self.clip_norm}")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ValueError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
 
 
 class Network:
-    """Layer stack plus adaptive-moment optimizer state."""
+    """Layer stack with the topology and output head it was built for."""
 
     def __init__(self, config, formulation, model):
         self.config = config
         self.formulation = formulation
         self.model = model
-        self.moment1 = {k: np.zeros_like(v) for k, v in model.named_params().items()}
-        self.moment2 = {k: np.zeros_like(v) for k, v in model.named_params().items()}
-        self.step = 0
 
     def forward(self, x, train=False):
         """Per-frame outputs for a (6, frames, bins) tensor or a batch of them."""
@@ -427,7 +441,16 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def _adam_step(net: Network, lr, clip_norm):
+class _AdamState:
+    """Moment estimates and step count of one :func:`train` call."""
+
+    def __init__(self, params):
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.t = 0
+
+
+def _adam_step(net: Network, state: _AdamState, lr, clip_norm):
     grads = net.model.named_grads()
     if clip_norm is not None and clip_norm > 0:
         total = np.sqrt(sum(float((g**2).sum()) for g in grads.values()))
@@ -435,13 +458,13 @@ def _adam_step(net: Network, lr, clip_norm):
             scale = clip_norm / total
             for g in grads.values():
                 g *= scale
-    net.step += 1
-    t = net.step
+    state.t += 1
+    t = state.t
     params = net.model.named_params()
     for name, p in params.items():
         g = grads[name]
-        m = net.moment1[name]
-        v = net.moment2[name]
+        m = state.m[name]
+        v = state.v[name]
         m[...] = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
         v[...] = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g**2
         m_hat = m / (1 - ADAM_BETA1**t)
@@ -477,6 +500,7 @@ def train(features, unit_labels, formulation: Formulation, cfg: TrainConfig,
         raise ValueError("no training samples left after validation split")
 
     loss_fn = _loss_for(formulation)
+    adam = _AdamState(net.model.named_params())
     history = []
     for epoch in range(cfg.epochs):
         perm = train_idx[rng.permutation(train_idx.size)]
@@ -494,7 +518,7 @@ def train(features, unit_labels, formulation: Formulation, cfg: TrainConfig,
                     f"non-finite loss {loss} at epoch {epoch}, batch {batches}"
                 )
             if cfg.learning_rate > 0:
-                _adam_step(net, cfg.learning_rate, cfg.clip_norm)
+                _adam_step(net, adam, cfg.learning_rate, cfg.clip_norm)
             running += float(loss)
             batches += 1
         entry = {"epoch": epoch, "train_loss": running / batches}
@@ -612,16 +636,18 @@ def load_model(path):
         formulation = Formulation(meta["formulation"])
     net = build_network(config, formulation, seed=0)
 
-    offset = 0
-    data = np.frombuffer(payload, dtype="<f8")
     params = net.model.named_params()
-    for key, shape in meta["params"]:
-        size = int(np.prod(shape)) if shape else 1
-        params[key][...] = data[offset : offset + size].reshape(shape)
-        offset += size
     buffers = net.model.named_buffers()
-    for key, shape in meta["buffers"]:
-        size = int(np.prod(shape)) if shape else 1
-        buffers[key][...] = data[offset : offset + size].reshape(shape)
-        offset += size
+    for field, named in (("params", params), ("buffers", buffers)):
+        if meta[field] != [[k, list(v.shape)] for k, v in named.items()]:
+            raise ValueError(f"{path}: saved {field} shapes do not match its config")
+    arrays = list(params.values()) + list(buffers.values())
+    expected = 8 * sum(v.size for v in arrays)
+    if len(payload) != expected:
+        raise ValueError(f"{path}: payload holds {len(payload)} bytes, not {expected}")
+    data = np.frombuffer(payload, dtype="<f8")
+    offset = 0
+    for v in arrays:
+        v[...] = data[offset : offset + v.size].reshape(v.shape)
+        offset += v.size
     return net

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acoustics import PathSet, image_source_paths, trace_paths
+from .acoustics import image_source_paths, trace_paths
 from .estimator import NetworkConfig, TrainConfig, predict_sample, train
 from .features import (
     babble_noise,
@@ -38,6 +38,8 @@ __all__ = [
     "RenderConfig",
     "SampleRecord",
     "TrackResult",
+    "sample_rng",
+    "propagate",
     "render_dataset",
     "load_manifest",
     "load_dataset",
@@ -68,6 +70,11 @@ class RenderConfig:
     def __post_init__(self):
         if self.method not in ("image", "trace"):
             raise ValueError(f"unknown render method {self.method!r}")
+
+    @property
+    def ir_length(self):
+        """Impulse-response buffer length in samples."""
+        return int(round(self.ir_seconds * self.sample_rate))
 
 
 @dataclass(frozen=True)
@@ -107,27 +114,28 @@ class SampleRecord:
         )
 
 
-def _propagate(scene, cfg: RenderConfig, seed):
+def sample_rng(seed, i):
+    """Generator of sample ``i`` of a run; it depends on (seed, i) only, so no
+    result depends on worker scheduling or on the command that renders it."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+
+
+def propagate(scene, cfg: RenderConfig, rng):
+    """Arrivals of one sample whose delay rounds, as in :func:`encode_srir`,
+    to a sample inside the ``cfg.ir_length`` buffer. The tracer seed is always
+    the first draw from ``rng``, the sample's generator, whatever the method."""
+    trace_seed = int(rng.integers(1 << 62))
     if cfg.method == "image":
-        return image_source_paths(scene, cfg.max_order)
-    return trace_paths(
-        scene,
-        n_rays=cfg.n_rays,
-        max_bounces=cfg.max_bounces,
-        receiver_radius=cfg.receiver_radius,
-        rng_seed=seed,
-    )
-
-
-def _clip_paths(paths: PathSet, max_delay):
-    keep = paths.delays < max_delay
-    return PathSet(
-        directions=paths.directions[keep],
-        delays=paths.delays[keep],
-        amplitudes=paths.amplitudes[keep],
-        orders=paths.orders[keep],
-        diffuse=paths.diffuse[keep],
-    )
+        paths = image_source_paths(scene, cfg.max_order)
+    else:
+        paths = trace_paths(
+            scene,
+            n_rays=cfg.n_rays,
+            max_bounces=cfg.max_bounces,
+            receiver_radius=cfg.receiver_radius,
+            rng_seed=trace_seed,
+        )
+    return paths.select(np.rint(paths.delays * cfg.sample_rate) < cfg.ir_length)
 
 
 def _speech_clips(speech_dir, sample_rate):
@@ -156,17 +164,11 @@ def _speech_clips(speech_dir, sample_rate):
 
 
 def _render_one(i, scene, cfg: RenderConfig, root_entropy, clips, out_dir):
-    """Render one sample; seeded by (root, i) only, so results do not depend
-    on worker scheduling."""
-    child = np.random.SeedSequence(entropy=root_entropy, spawn_key=(i,))
-    rng = np.random.default_rng(child)
+    """Render one sample from its own generator, ``sample_rng(root, i)``."""
+    rng = sample_rng(root_entropy, i)
     fs = cfg.sample_rate
     clip_len = int(round(cfg.clip_seconds * fs))
-    ir_len = int(round(cfg.ir_seconds * fs))
-    trace_seed = int(rng.integers(1 << 62))
-
-    paths = _clip_paths(_propagate(scene, cfg, trace_seed), cfg.ir_seconds)
-    ir = encode_srir(paths, fs, ir_len)
+    ir = encode_srir(propagate(scene, cfg, rng), fs, cfg.ir_length)
 
     if clips is None:
         dry = synthetic_speech(clip_len, seed=int(rng.integers(1 << 62)), sample_rate=fs)

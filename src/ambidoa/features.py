@@ -147,10 +147,6 @@ def _shaped_noise(rng, n_streams, length, sample_rate):
     return np.fft.irfft(spectrum, n=fast, axis=1)[:, :length]
 
 
-def _shaped_noise_mono(rng, length, sample_rate):
-    return _shaped_noise(rng, 1, length, sample_rate)[0]
-
-
 # 12 uniformly spread directions: icosahedron vertices
 _PHI = (1.0 + np.sqrt(5.0)) / 2.0
 _ICOSAHEDRON = np.array(
@@ -200,7 +196,7 @@ def synthetic_speech(length, seed, sample_rate=16000):
     signal speech-like on/off structure without redistributing any corpus.
     """
     rng = np.random.default_rng(seed)
-    carrier = _shaped_noise_mono(rng, length, sample_rate)
+    carrier = _shaped_noise(rng, 1, length, sample_rate)[0]
     t = np.arange(length) / sample_rate
     envelope = np.zeros(length)
     pos = 0.0

@@ -56,19 +56,6 @@ def foa_gains(direction):
     return np.concatenate([w, np.sqrt(3.0) * u], axis=-1)
 
 
-def foa_gains_angles(azimuth, elevation):
-    """Gain vector from azimuth/elevation in radians."""
-    cos_el = np.cos(elevation)
-    return np.array(
-        [
-            1.0,
-            np.sqrt(3.0) * np.cos(azimuth) * cos_el,
-            np.sqrt(3.0) * np.sin(azimuth) * cos_el,
-            np.sqrt(3.0) * np.sin(elevation),
-        ]
-    )
-
-
 def encode_plane_wave(signal, direction, sample_rate=DEFAULT_SAMPLE_RATE):
     """Anechoic FOA recording of a plane wave: each channel is the signal
     scaled by its directional gain, so W equals the input exactly."""
@@ -89,15 +76,7 @@ def encode_srir(paths, sample_rate=DEFAULT_SAMPLE_RATE, length=None):
     """
     if length is None:
         length = sample_rate
-    if hasattr(paths, "delays"):  # struct-of-arrays path set
-        delays = paths.delays
-        directions = paths.directions
-        amplitudes = paths.amplitudes
-    else:  # any iterable of AcousticPath-like objects
-        delays = np.array([p.delay for p in paths], dtype=np.float64)
-        directions = np.array([p.direction for p in paths], dtype=np.float64)
-        amplitudes = np.array([p.amplitude for p in paths], dtype=np.float64)
-
+    delays = paths.delays
     channels = np.zeros((4, length))
     if delays.size == 0:
         return FoaIR(channels=channels, sample_rate=sample_rate)
@@ -110,7 +89,7 @@ def encode_srir(paths, sample_rate=DEFAULT_SAMPLE_RATE, length=None):
             f"{bad.size} path delay(s) fall outside the {length}-sample buffer "
             f"({length / sample_rate:.3f} s): {worst}"
         )
-    contributions = amplitudes[:, None] * foa_gains(directions)
+    contributions = paths.amplitudes[:, None] * foa_gains(paths.directions)
     for ch in range(4):
         np.add.at(channels[ch], samples, contributions[:, ch])
     return FoaIR(channels=channels, sample_rate=sample_rate)
@@ -129,17 +108,6 @@ def read_wav(path):
     if data.dtype.kind == "i":
         data = data.astype(np.float64) / float(np.iinfo(data.dtype).max)
     return FoaSignal(channels=data.T.astype(np.float64), sample_rate=int(rate))
-
-
-def direction_of_ir_peak(ir: FoaIR):
-    """Recover the arrival direction of a single-path IR from the encoded
-    gains at its loudest sample: (X, Y, Z) / (sqrt(3) W)."""
-    peak = int(np.argmax(np.abs(ir.channels[0])))
-    w = ir.channels[0, peak]
-    if w == 0.0:
-        raise ValueError("W channel is zero at the peak sample")
-    v = ir.channels[1:, peak] / (np.sqrt(3.0) * w)
-    return v / np.linalg.norm(v)
 
 
 def direction_angles(direction):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ambidoa.acoustics import (
+    PathSet,
     RoomConfig,
     Scene,
     energy_decay_curve,
@@ -47,6 +48,23 @@ class TestTypes:
     def test_per_wall_pair_absorption(self):
         room = RoomConfig(dims=(4, 5, 3), absorption=(0.1, 0.2, 0.3))
         assert room.absorption.shape == (3,)
+
+    def test_path_set_select_by_mask_or_index(self):
+        paths = PathSet(
+            directions=np.eye(3),
+            delays=np.array([0.3, 0.1, 0.2]),
+            amplitudes=np.array([1.0, 2.0, 3.0]),
+            orders=np.array([0, 1, 2]),
+            diffuse=np.array([False, True, False]),
+            emitted_energy=1.0,
+        )
+        masked = paths.select(paths.delays > 0.15)
+        np.testing.assert_array_equal(masked.amplitudes, [1.0, 3.0])
+        np.testing.assert_array_equal(masked.directions, np.eye(3)[[0, 2]])
+        ordered = paths.select(np.argsort(paths.delays))
+        np.testing.assert_array_equal(ordered.orders, [1, 2, 0])
+        np.testing.assert_array_equal(ordered.diffuse, [True, False, False])
+        assert masked.emitted_energy == ordered.emitted_energy == 1.0
 
 
 class TestSampleScenes:
@@ -182,6 +200,15 @@ class TestTracer:
                                  receiver_radius=0.3, rng_seed=7)
             received.append(traced.received_energy)
         assert all(a >= b for a, b in zip(received, received[1:]))
+
+    def test_no_arrivals_give_an_empty_typed_set(self):
+        # one ray, no bounce: it misses the 0.3 m sphere 3.7 m away
+        traced = trace_paths(demo_scene(), n_rays=1, max_bounces=0,
+                             receiver_radius=0.3, rng_seed=0)
+        assert len(traced) == 0
+        assert traced.directions.shape == (0, 3)
+        assert traced.orders.dtype == np.int64 and traced.diffuse.dtype == bool
+        assert traced.emitted_energy == 1.0
 
     def test_source_inside_receiver_rejected(self):
         room = RoomConfig(dims=(4, 5, 3), absorption=0.3)

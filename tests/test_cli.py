@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from ambidoa.acoustics import load_scenes
 from ambidoa.cli import main
-from ambidoa.foa import encode_plane_wave, write_wav
+from ambidoa.evaluate import RenderConfig, propagate, sample_rng
+from ambidoa.foa import encode_plane_wave, encode_srir, read_wav, write_wav
 from ambidoa.geometry import to_cartesian
 
 
@@ -52,6 +54,20 @@ class TestPipeline:
         run_meta = json.loads((sim / "run.json").read_text())
         assert run_meta["subcommand"] == "simulate"
         assert run_meta["resolved"]["seed"] == 31
+
+    def test_written_irs_are_the_ones_render_uses(self, tmp_path):
+        sim = tmp_path / "sim"
+        assert run([
+            "simulate", "--count", "3", "--seed", "7", "--method", "trace",
+            "--rays", "2000", "--write-irs", "--out", str(sim),
+        ]) == 0
+        cfg = RenderConfig(method="trace", n_rays=2000)
+        for i, scene in enumerate(load_scenes(sim / "scenes.json")):
+            expected = encode_srir(propagate(scene, cfg, sample_rng(7, i)))
+            written = read_wav(sim / f"ir_{i:06d}.wav")
+            np.testing.assert_array_equal(
+                written.channels, expected.channels.astype(np.float32)
+            )
 
     def test_render_produces_features(self, pipeline_dir):
         feats = pipeline_dir / "feats"

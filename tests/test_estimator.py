@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -97,6 +100,18 @@ class TestArchitecture:
             if ref[k].shape != nets[2].model.named_params()[k].shape
         ]
         assert all("TimeDense" in k for k in diff)
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    (dict(conv_channels=(8, 8), pool_factors=(4, 4, 4)), "equal length"),
+    (dict(conv_channels=(8, 0, 8)), "conv_channels"),
+    (dict(pool_factors=(4, -1, 4)), "pool_factors"),
+    (dict(conv_channels=(), pool_factors=()), "conv_channels"),
+    (dict(freq_bins=129, pool_factors=(8, 8, 8)), "pool_factors"),
+])
+def test_network_config_rejects_bad_topology(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        NetworkConfig(**kwargs)
 
 
 class TestLosses:
@@ -222,10 +237,33 @@ class TestTraining:
         with pytest.raises(TrainingDiverged, match="epoch 0"):
             train(x, u, form, cfg, config=TINY, net=net)
 
+    def test_trained_network_carries_no_optimizer_state(self):
+        x, u = self._toy_dataset(n=8)
+        cfg = TrainConfig(epochs=1, batch_size=8, val_fraction=0.0)
+        net, _ = train(x, u, Formulation("cartesian"), cfg, config=TINY)
+        assert set(vars(net)) == {"config", "formulation", "model"}
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             train(np.zeros((0, 6, 3, 16)), np.zeros((0, 3)),
                   Formulation("cartesian"), TrainConfig(epochs=1), config=TINY)
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    (dict(val_fraction=-1), "val_fraction"),
+    (dict(val_fraction=1.0), "val_fraction"),
+    (dict(epochs=0), "epochs"),
+    (dict(epochs=-3), "epochs"),
+    (dict(clip_norm=-1), "clip_norm"),
+])
+def test_train_config_rejects_bad_values(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**kwargs)
+
+
+def test_train_config_edge_values_stay_valid():
+    TrainConfig(val_fraction=0.0, epochs=1, clip_norm=None)
+    TrainConfig(clip_norm=0.0)
 
 
 class TestDecoding:
@@ -327,4 +365,33 @@ class TestCheckpoints:
         path = tmp_path / "junk.adom"
         path.write_bytes(b"WHAT" + b"\0" * 16)
         with pytest.raises(ValueError):
+            load_model(path)
+
+    def _saved(self, tmp_path):
+        path = tmp_path / "model.adom"
+        save_model(path, build_network(TINY, Formulation("cartesian"), seed=9))
+        return path
+
+    def test_appended_bytes_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\0" * 24)
+        with pytest.raises(ValueError, match="model.adom: payload"):
+            load_model(path)
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="model.adom: payload"):
+            load_model(path)
+
+    def test_shapes_that_differ_from_the_config_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        raw = path.read_bytes()
+        (blob_len,) = struct.unpack("<I", raw[8:12])
+        meta = json.loads(raw[12 : 12 + blob_len])
+        meta["config"]["hidden"] += 1
+        blob = json.dumps(meta, sort_keys=True).encode("ascii")
+        path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob
+                         + raw[12 + blob_len :])
+        with pytest.raises(ValueError, match="model.adom: saved params shapes"):
             load_model(path)

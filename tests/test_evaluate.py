@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from ambidoa.acoustics import sample_scenes
+from ambidoa import evaluate
+from ambidoa.acoustics import PathSet, sample_scenes
 from ambidoa.estimator import (
     Formulation,
     NetworkConfig,
@@ -22,11 +23,13 @@ from ambidoa.evaluate import (
     load_manifest,
     music_window_predictor,
     net_window_predictor,
+    propagate,
     render_dataset,
+    sample_rng,
     tolerance_accuracy,
     track,
 )
-from ambidoa.foa import encode_plane_wave
+from ambidoa.foa import encode_plane_wave, encode_srir
 from ambidoa.geometry import build_grid, to_cartesian
 
 FAST_RENDER = RenderConfig(method="image", max_order=2)
@@ -103,6 +106,34 @@ class TestRenderDataset:
         back = SampleRecord.from_json(rec.to_json())
         np.testing.assert_allclose(back.label, rec.label, atol=1e-9)
         assert back.scene_id == 7 and back.method == "image"
+
+
+class TestPropagate:
+    def test_clip_by_sample_index_keeps_buffer_in_range(self, monkeypatch):
+        # 0.99999 s is below the 1 s buffer but rounds onto sample 16000
+        delays = np.array([0.5, 0.99996, 0.99999])
+        arrivals = PathSet(
+            directions=np.tile([1.0, 0.0, 0.0], (3, 1)),
+            delays=delays,
+            amplitudes=np.ones(3),
+            orders=np.zeros(3, dtype=np.int64),
+            diffuse=np.zeros(3, dtype=bool),
+        )
+        monkeypatch.setattr(evaluate, "image_source_paths", lambda scene, order: arrivals)
+        scene = sample_scenes(1, seed=1)[0]
+        kept = propagate(scene, RenderConfig(), sample_rng(0, 0))
+        np.testing.assert_array_equal(kept.delays, delays[:2])
+        ir = encode_srir(kept, 16000, 16000)
+        assert np.nonzero(ir.channels[0])[0].tolist() == [8000, 15999]
+
+    def test_tracer_seed_is_the_first_draw_for_every_method(self):
+        scene = sample_scenes(1, seed=4)[0]
+        after = []
+        for method in ("image", "trace"):
+            rng = sample_rng(3, 2)
+            propagate(scene, RenderConfig(method=method, n_rays=200), rng)
+            after.append(rng.integers(1 << 62))
+        assert after[0] == after[1]
 
 
 class TestMetrics:
