@@ -4,7 +4,6 @@ from .geometry import (
     SphereGrid,
     build_grid,
     great_circle,
-    haversine_angles,
     nearest_class,
     to_cartesian,
     to_spherical,

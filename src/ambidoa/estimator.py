@@ -4,7 +4,7 @@ One convolutional-recurrent trunk (conv/ReLU/batch-norm/max-pool stages, a
 two-layer bidirectional LSTM, and a shared per-frame dense layer) feeds a
 formulation-specific head:
 
-* categorical - one sigmoid score per sphere-grid class, binary cross-entropy
+* categorical - one logit per sphere-grid class, sigmoid binary cross-entropy
 * cartesian   - unconstrained 3-vector, mean squared error against the unit label
 * spherical   - (azimuth, elevation) pair, haversine distance loss
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,7 +50,6 @@ __all__ = [
     "TrainingDiverged",
 ]
 
-PROB_CLAMP = 1e-7
 HAVERSINE_CLAMP = 1e-12
 MODEL_MAGIC = b"ADOM"
 MODEL_VERSION = 1
@@ -245,8 +244,6 @@ def build_network(config: NetworkConfig, formulation: Formulation, seed=0):
     layers.append(nn.TimeDense(d, config.fc_width, rng))
     layers.append(nn.ReLU())
     layers.append(nn.TimeDense(config.fc_width, formulation.out_dim, rng))
-    if formulation.kind == "categorical":
-        layers.append(nn.Sigmoid())
     return Network(config, formulation, nn.Sequential(layers))
 
 
@@ -255,31 +252,21 @@ def build_network(config: NetworkConfig, formulation: Formulation, seed=0):
 # ---------------------------------------------------------------------------
 
 def loss_categorical(outputs, class_index, with_grad=False):
-    """Per-frame binary cross-entropy against the one-hot class, summed over
-    classes and averaged over frames (and batch). ``outputs`` are sigmoid
-    scores in (0, 1); they are clamped away from {0, 1} for finite logs."""
-    p, y, (b, t, c) = _prep_scores(outputs, class_index)
-    clamped = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    loss = -(y * np.log(clamped) + (1 - y) * np.log(1 - clamped)).sum() / (b * t)
+    """Per-frame binary cross-entropy of sigmoid(z) against the one-hot class,
+    summed over classes and averaged over frames (and batch). ``outputs`` are
+    the logits z; the fused form log(1 + e^z) - y z stays finite at any z, and
+    its gradient sigmoid(z) - y never vanishes on a confidently wrong class."""
+    z = np.asarray(outputs, dtype=np.float64)
+    if z.ndim == 2:
+        z = z[None]
+    b, t, c = z.shape
+    idx = np.atleast_1d(np.asarray(class_index, dtype=np.int64))
+    y = np.zeros((b, 1, c))
+    y[np.arange(b), 0, idx] = 1.0
+    loss = (np.logaddexp(0.0, z) - y * z).sum() / (b * t)
     if not with_grad:
         return loss
-    grad = np.where(
-        (p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP),
-        (-y / clamped + (1 - y) / (1 - clamped)) / (b * t),
-        0.0,
-    )
-    return loss, grad
-
-
-def _prep_scores(outputs, class_index):
-    p = np.asarray(outputs, dtype=np.float64)
-    if p.ndim == 2:
-        p = p[None]
-    b, t, c = p.shape
-    idx = np.atleast_1d(np.asarray(class_index, dtype=np.int64))
-    y = np.zeros((b, c))
-    y[np.arange(b), idx] = 1.0
-    return p, y[:, None, :], (b, t, c)
+    return loss, (nn._sigmoid(z) - y) / (b * t)
 
 
 def loss_cartesian(outputs, label, with_grad=False):
@@ -351,16 +338,15 @@ def labels_for(formulation: Formulation, unit_vectors):
 # gradients
 # ---------------------------------------------------------------------------
 
-def backward(net: Network, x, target, formulation: Formulation = None):
+def backward(net: Network, x, target):
     """Loss and analytic parameter gradients for one (batch of) input(s);
     raises if any gradient turns non-finite, naming the parameter."""
-    formulation = formulation or net.formulation
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 3:
         x = x[None]
     net.model.zero_grads()
     out = net.model.forward(x, train=True)
-    loss, dout = _loss_for(formulation)(out, target, with_grad=True)
+    loss, dout = _loss_for(net.formulation)(out, target, with_grad=True)
     net.model.backward(dout)
     grads = net.model.named_grads()
     for name, g in grads.items():
@@ -382,8 +368,7 @@ def _activation_signature(model):
     return b"".join(parts)
 
 
-def grad_check(net: Network, x, target, formulation: Formulation = None, step=1e-4,
-               return_skipped=False):
+def grad_check(net: Network, x, target, step=1e-4, return_skipped=False):
     """Max over parameter tensors of the relative error between analytic
     gradients and central finite differences:
 
@@ -396,17 +381,16 @@ def grad_check(net: Network, x, target, formulation: Formulation = None, step=1e
     ``return_skipped``. The analytic value replaces the numeric one in the
     norm so skipping can only be neutral, never flattering.
     """
-    formulation = formulation or net.formulation
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 3:
         x = x[None]
-    loss_fn = _loss_for(formulation)
+    loss_fn = _loss_for(net.formulation)
 
     def eval_loss():
         out = net.model.forward(x, train=True)
         return loss_fn(out, target), _activation_signature(net.model)
 
-    _, analytic = backward(net, x, target, formulation)
+    _, analytic = backward(net, x, target)
     worst = 0.0
     skipped = 0
     for name, param in net.model.named_params().items():
@@ -473,7 +457,7 @@ def _adam_step(net: Network, state: _AdamState, lr, clip_norm):
 
 
 def train(features, unit_labels, formulation: Formulation, cfg: TrainConfig,
-          config: NetworkConfig = None, net: Network = None):
+          config: NetworkConfig = None):
     """Mini-batch adaptive-moment training; deterministic for a fixed seed.
 
     ``features`` is an (n, 6, frames, bins) array, ``unit_labels`` (n, 3).
@@ -487,8 +471,7 @@ def train(features, unit_labels, formulation: Formulation, cfg: TrainConfig,
         raise ValueError("training set is empty")
     if config is None:
         config = NetworkConfig.desk()
-    if net is None:
-        net = build_network(config, formulation, seed=cfg.seed)
+    net = build_network(config, formulation, seed=cfg.seed)
     labels = labels_for(formulation, unit_labels)
 
     rng = np.random.default_rng(cfg.seed + 0x5EED)
@@ -508,7 +491,7 @@ def train(features, unit_labels, formulation: Formulation, cfg: TrainConfig,
         for start in range(0, perm.size, cfg.batch_size):
             sel = perm[start : start + cfg.batch_size]
             try:
-                loss, _ = backward(net, features[sel], labels[sel], formulation)
+                loss, _ = backward(net, features[sel], labels[sel])
             except FloatingPointError as exc:
                 raise TrainingDiverged(
                     f"{exc} at epoch {epoch}, batch {batches}"
@@ -540,8 +523,8 @@ def decode_outputs(outputs, formulation: Formulation):
     """Aggregate per-frame outputs (frames x d) into one unit direction.
 
     Cartesian: normalized mean vector. Spherical: circular-mean azimuth and
-    arithmetic-mean elevation. Categorical: class scores summed over frames,
-    argmax class center (invariant to positive rescaling of the scores).
+    arithmetic-mean elevation. Categorical: sigmoid scores of the logits
+    summed over frames, argmax class center.
     """
     o = np.asarray(outputs, dtype=np.float64)
     if formulation.kind == "cartesian":
@@ -554,21 +537,19 @@ def decode_outputs(outputs, formulation: Formulation):
         az = np.arctan2(np.sin(o[:, 0]).mean(), np.cos(o[:, 0]).mean())
         el = o[:, 1].mean()
         return to_cartesian(az, el)
-    scores = o.sum(axis=0)
+    scores = nn._sigmoid(o).sum(axis=0)
     return formulation.grid.directions[int(np.argmax(scores))]
 
 
-def predict_sample(net: Network, feature_tensor, formulation: Formulation = None):
+def predict_sample(net: Network, feature_tensor):
     """Direction estimate for one full feature tensor (6, frames, bins)."""
-    formulation = formulation or net.formulation
     out = net.forward(feature_tensor, train=False)
-    return decode_outputs(out, formulation)
+    return decode_outputs(out, net.formulation)
 
 
-def predict_window(net: Network, spec, center_frame, formulation: Formulation = None):
+def predict_window(net: Network, spec, center_frame):
     """Direction estimate from the window of ``config.frames`` frames centered
-    at ``center_frame`` of a spectrogram."""
-    formulation = formulation or net.formulation
+    at ``center_frame`` of a spectrogram; only that window is featurised."""
     frames = net.config.frames
     half = frames // 2
     start = center_frame - half
@@ -577,9 +558,8 @@ def predict_window(net: Network, spec, center_frame, formulation: Formulation = 
             f"window [{start}, {start + frames}) does not fit in "
             f"{spec.n_frames} frames"
         )
-    feats = intensity_features(spec)
-    window = feats.values[:, start : start + frames, :]
-    return predict_sample(net, window, formulation)
+    window = replace(spec, bins=spec.bins[:, start : start + frames, :])
+    return predict_sample(net, intensity_features(window).values)
 
 
 def param_count(net: Network):
@@ -620,13 +600,19 @@ def load_model(path):
     from .geometry import build_grid
 
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != MODEL_MAGIC:
+        header = f.read(12)
+        if header[:4] != MODEL_MAGIC:
             raise ValueError(f"{path} is not a model checkpoint (bad magic)")
-        version, blob_len = struct.unpack("<II", f.read(8))
+        if len(header) < 12:
+            raise ValueError(f"{path}: header holds {len(header)} bytes, not 12")
+        version, blob_len = struct.unpack("<II", header[4:])
         if version != MODEL_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        meta = json.loads(f.read(blob_len).decode("ascii"))
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        blob = f.read(blob_len)
+        if len(blob) < blob_len:
+            raise ValueError(f"{path}: config blob holds {len(blob)} bytes, "
+                             f"not the declared {blob_len}")
+        meta = json.loads(blob.decode("ascii"))
         payload = f.read()
 
     config = NetworkConfig.from_dict(meta["config"])

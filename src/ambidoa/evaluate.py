@@ -407,7 +407,6 @@ def compare_methods(records_image, dir_image, records_trace, dir_trace,
     x_test, y_test = load_dataset(test_trc, dir_trace)
 
     rows = []
-    errors_by = {}
     for method, recs, base in (
         ("image", train_img, dir_image),
         ("trace", train_trc, dir_trace),
@@ -416,11 +415,8 @@ def compare_methods(records_image, dir_image, records_trace, dir_trace,
         for formulation in formulations:
             net, _ = train(x_train, y_train, formulation, train_cfg,
                            config=net_config)
-            preds = np.stack(
-                [predict_sample(net, x, formulation) for x in x_test]
-            )
+            preds = np.stack([predict_sample(net, x) for x in x_test])
             errs = angular_error(preds, y_test)
-            errors_by[(method, formulation.kind)] = errs
             rows.append(
                 ComparisonRow(
                     method=method,

@@ -167,17 +167,14 @@ def speech_shaped_noise(length, seed, sample_rate=16000):
     directions; their FOA encodings superpose into an approximately isotropic
     field. Deterministic for a fixed seed.
     """
-    if length < 1024:
-        raise ValueError("length must be at least 1024 samples")
-    rng = np.random.default_rng(seed)
-    streams = _shaped_noise(rng, len(_ICOSAHEDRON), length, sample_rate)
-    gains = foa_gains(_ICOSAHEDRON)  # (12, 4)
-    channels = gains.T @ streams / np.sqrt(len(_ICOSAHEDRON))
-    return FoaSignal(channels=channels, sample_rate=sample_rate)
+    return babble_noise(length, seed, sample_rate, n_talkers=1)
 
 
 def babble_noise(length, seed, sample_rate=16000, n_talkers=6):
-    """Babble stand-in: the sum of independent speech-shaped noise fields."""
+    """Babble stand-in: the sum of ``n_talkers`` independent speech-shaped
+    noise fields."""
+    if length < 1024:
+        raise ValueError("length must be at least 1024 samples")
     rng = np.random.default_rng(seed)
     streams = _shaped_noise(rng, n_talkers * len(_ICOSAHEDRON), length, sample_rate)
     streams = streams.reshape(n_talkers, len(_ICOSAHEDRON), length)
@@ -282,12 +279,16 @@ def write_features(path, features: FeatureTensor):
 def read_features(path):
     with open(path, "rb") as f:
         header = f.read(20)
-        if header[:4] != FEATURE_MAGIC:
-            raise ValueError(f"{path} is not a feature container (bad magic)")
-        version, d0, d1, d2 = struct.unpack("<IIII", header[4:])
-        if version != FEATURE_VERSION:
-            raise ValueError(f"unsupported feature container version {version}")
-        payload = np.frombuffer(f.read(), dtype="<f4")
-    if payload.size != d0 * d1 * d2:
-        raise ValueError(f"{path} is truncated")
-    return FeatureTensor(values=payload.reshape(d0, d1, d2).astype(np.float64))
+        payload = f.read()
+    if header[:4] != FEATURE_MAGIC:
+        raise ValueError(f"{path} is not a feature container (bad magic)")
+    if len(header) < 20:
+        raise ValueError(f"{path}: header holds {len(header)} bytes, not 20")
+    version, d0, d1, d2 = struct.unpack("<IIII", header[4:])
+    if version != FEATURE_VERSION:
+        raise ValueError(f"{path}: unsupported feature container version {version}")
+    if len(payload) != 4 * d0 * d1 * d2:
+        raise ValueError(f"{path}: payload holds {len(payload)} bytes, "
+                         f"not {4 * d0 * d1 * d2}")
+    values = np.frombuffer(payload, dtype="<f4").reshape(d0, d1, d2)
+    return FeatureTensor(values=values.astype(np.float64))

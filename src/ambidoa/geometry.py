@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "to_cartesian",
     "to_spherical",
-    "haversine_angles",
     "great_circle",
     "SphereGrid",
     "build_grid",
@@ -56,28 +55,16 @@ def to_spherical(vec):
     return azimuth, elevation
 
 
-def haversine_angles(az1, el1, az2, el2):
-    """Great-circle distance (radians, unit sphere) from two angle pairs.
-
-    D = 2 asin(sqrt(h)),  h = sin^2(d_el/2) + cos(el1) cos(el2) sin^2(d_az/2)
-    """
-    az1 = np.asarray(az1, dtype=np.float64)
-    el1 = np.asarray(el1, dtype=np.float64)
-    az2 = np.asarray(az2, dtype=np.float64)
-    el2 = np.asarray(el2, dtype=np.float64)
-    h = (
-        np.sin((el2 - el1) / 2.0) ** 2
-        + np.cos(el1) * np.cos(el2) * np.sin((az2 - az1) / 2.0) ** 2
-    )
-    h = np.clip(h, 0.0, 1.0)
-    return 2.0 * np.arcsin(np.sqrt(h))
-
-
 def great_circle(a, b):
-    """Great-circle distance in radians between two unit vectors (or stacks)."""
-    az1, el1 = to_spherical(a)
-    az2, el2 = to_spherical(b)
-    return haversine_angles(az1, el1, az2, el2)
+    """Great-circle distance in radians between two nonzero vectors (or
+    broadcastable stacks of them): atan2(|a x b|, a . b), which needs no
+    normalization and stays accurate near 0 and pi."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    for v in (a, b):
+        if np.any(np.linalg.norm(v, axis=-1) == 0.0):
+            raise ValueError("great-circle distance is undefined for the zero vector")
+    return np.arctan2(np.linalg.norm(np.cross(a, b), axis=-1), np.sum(a * b, axis=-1))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ __all__ = [
     "FrameFlatten",
     "BiLSTM",
     "TimeDense",
-    "Sigmoid",
     "Sequential",
 ]
 
@@ -336,15 +335,6 @@ class TimeDense(Layer):
         self.dw += np.einsum("bto,bti->oi", dy, self._x, optimize=True)
         self.db += dy.sum(axis=(0, 1))
         return dy @ self.w
-
-
-class Sigmoid(Layer):
-    def forward(self, x, train=False):
-        self._y = _sigmoid(x)
-        return self._y
-
-    def backward(self, dy):
-        return dy * self._y * (1.0 - self._y)
 
 
 class Sequential:

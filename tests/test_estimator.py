@@ -1,8 +1,12 @@
 import json
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambidoa.estimator import (
     Formulation,
@@ -66,12 +70,14 @@ class TestArchitecture:
             assert out.shape == (1, TINY.frames, d)
 
     def test_zero_input_zeroed_head_gives_half_scores(self):
+        # the head emits logits; a zero logit is a sigmoid score of one half
         net = build_network(TINY, Formulation("categorical", GRID30), seed=0)
-        head = net.model.layers[-2]
+        head = net.model.layers[-1]
         head.w[...] = 0.0
         head.b[...] = 0.0
         out = net.forward(np.zeros((6, TINY.frames, TINY.freq_bins)))
-        np.testing.assert_allclose(out, 0.5, atol=1e-12)
+        np.testing.assert_array_equal(out, 0.0)
+        assert loss_categorical(out, [0]) == pytest.approx(len(GRID30) * np.log(2))
 
     def test_shape_mismatch_rejected(self):
         net = build_network(TINY, Formulation("cartesian"), seed=0)
@@ -116,22 +122,34 @@ def test_network_config_rejects_bad_topology(kwargs, field):
 
 class TestLosses:
     def test_categorical_perfect_prediction(self):
-        p = np.zeros((1, 4, 10))
-        p[0, :, 3] = 1.0
-        assert loss_categorical(p, [3]) < 1e-5
+        z = np.full((1, 4, 10), -20.0)
+        z[0, :, 3] = 20.0
+        assert loss_categorical(z, [3]) < 1e-5
 
     def test_categorical_uniform_half(self):
         c = 429
-        p = np.full((1, 25, c), 0.5)
-        assert loss_categorical(p, [0]) == pytest.approx(c * np.log(2), rel=1e-12)
+        z = np.zeros((1, 25, c))
+        assert loss_categorical(z, [0]) == pytest.approx(c * np.log(2), rel=1e-12)
 
     def test_categorical_permutation_equivariant(self):
         rng = np.random.default_rng(0)
-        p = rng.uniform(0.01, 0.99, (1, 5, 8))
+        z = rng.normal(0.0, 3.0, (1, 5, 8))
         perm = rng.permutation(8)
-        a = loss_categorical(p, [2])
-        b = loss_categorical(p[:, :, perm], [int(np.where(perm == 2)[0][0])])
+        a = loss_categorical(z, [2])
+        b = loss_categorical(z[:, :, perm], [int(np.where(perm == 2)[0][0])])
         assert a == pytest.approx(b, rel=1e-12)
+
+    def test_categorical_saturated_logits_keep_gradient(self):
+        # a confidently wrong class: the loss and gradient stay finite, and the
+        # gradient is (sigmoid(z) - y) / frames: +1/2 on the wrong class and
+        # -1/2 on the true one, where a clamped loss would give zero
+        z = np.full((1, 2, 4), -1000.0)
+        z[0, :, 1] = 1000.0
+        loss, grad = loss_categorical(z, [3], with_grad=True)
+        assert loss == pytest.approx(2000.0, rel=1e-12)
+        expected = np.zeros((1, 2, 4))
+        expected[0, :, 1], expected[0, :, 3] = 0.5, -0.5
+        np.testing.assert_allclose(grad, expected, atol=1e-12)
 
     def test_cartesian_exact_and_opposite(self):
         label = np.array([1.0, 0.0, 0.0])
@@ -228,14 +246,13 @@ class TestTraining:
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_divergence_aborts_with_diagnostic(self):
         # batch norm and saturating gates make this net hard to blow up by
-        # learning rate alone, so poison a weight to force a non-finite loss
+        # learning rate alone, so poison one input value to force a
+        # non-finite gradient
         x, u = self._toy_dataset()
-        form = Formulation("cartesian")
-        net = build_network(TINY, form, seed=2)
-        net.model.layers[-1].b[...] = np.inf
+        x[0, 0, 0, 0] = np.inf
         cfg = TrainConfig(epochs=1, batch_size=8, seed=2, val_fraction=0.0)
-        with pytest.raises(TrainingDiverged, match="epoch 0"):
-            train(x, u, form, cfg, config=TINY, net=net)
+        with pytest.raises(TrainingDiverged, match="non-finite .* at epoch 0"):
+            train(x, u, Formulation("cartesian"), cfg, config=TINY)
 
     def test_trained_network_carries_no_optimizer_state(self):
         x, u = self._toy_dataset(n=8)
@@ -287,20 +304,22 @@ class TestDecoding:
                            Formulation("cartesian"))
 
     def test_categorical_score_summation(self):
+        # the logits sum higher on class 3 (7 vs 2), the sigmoid scores on
+        # class 7 (1.05 vs 1.46): decoding sums scores, not logits
         form = Formulation("categorical", GRID30)
         out = np.zeros((2, len(GRID30)))
-        out[0, 3], out[0, 7] = 0.9, 0.8
-        out[1, 3], out[1, 7] = 0.1, 0.9
+        out[0, 3], out[0, 7] = 10.0, 1.0
+        out[1, 3], out[1, 7] = -3.0, 1.0
         got = decode_outputs(out, form)
         np.testing.assert_array_equal(got, GRID30.directions[7])
 
-    def test_categorical_argmax_scale_invariant(self):
+    def test_categorical_argmax_of_summed_sigmoids(self):
         form = Formulation("categorical", GRID30)
         rng = np.random.default_rng(4)
-        out = rng.uniform(0, 1, (25, len(GRID30)))
-        a = decode_outputs(out, form)
-        b = decode_outputs(3.7 * out, form)
-        np.testing.assert_array_equal(a, b)
+        out = rng.normal(0.0, 3.0, (25, len(GRID30)))
+        scores = (1.0 / (1.0 + np.exp(-out))).sum(axis=0)
+        got = decode_outputs(out, form)
+        np.testing.assert_array_equal(got, GRID30.directions[np.argmax(scores)])
 
     def test_spherical_circular_mean_handles_seam(self):
         # naive azimuth averaging of +/- (pi - 0.1) would point backwards
@@ -319,6 +338,18 @@ class TestDecoding:
         assert np.linalg.norm(direction) == pytest.approx(1.0)
         with pytest.raises(ValueError, match="window"):
             predict_window(net, spec, center_frame=5)
+
+    def test_predict_window_matches_sample_on_the_same_slice(self):
+        rng = np.random.default_rng(7)
+        sig = encode_plane_wave(rng.standard_normal(8000), to_cartesian(-1.1, 0.4))
+        spec = stft(sig, frames=40, window=256)
+        net = build_network(NetworkConfig.desk(), Formulation("categorical", GRID30),
+                            seed=3)
+        feats = intensity_features(spec).values
+        for center in (12, 20, 27):
+            window = feats[:, center - 12 : center + 13, :]
+            assert np.array_equal(predict_window(net, spec, center),
+                                  predict_sample(net, window))
 
 
 class TestParamCount:
@@ -384,6 +415,27 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="model.adom: payload"):
             load_model(path)
 
+    def test_short_header_names_the_file(self, tmp_path):
+        path = tmp_path / "short.adom"
+        path.write_bytes(b"ADOM\x01\x00")
+        with pytest.raises(ValueError, match="short.adom: header"):
+            load_model(path)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_every_truncation_or_append_names_the_file(self, data):
+        raw = _valid_checkpoint_bytes()
+        cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+        extra = data.draw(st.binary(min_size=1, max_size=7), label="extra")
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, blob in (("cut.adom", raw[:cut]), ("long.adom", raw + extra)):
+                path = os.path.join(tmp, name)
+                with open(path, "wb") as f:
+                    f.write(blob)
+                with pytest.raises(ValueError) as err:
+                    load_model(path)
+                assert path in str(err.value)
+
     def test_shapes_that_differ_from_the_config_rejected(self, tmp_path):
         path = self._saved(tmp_path)
         raw = path.read_bytes()
@@ -395,3 +447,11 @@ class TestCheckpoints:
                          + raw[12 + blob_len :])
         with pytest.raises(ValueError, match="model.adom: saved params shapes"):
             load_model(path)
+
+
+def _valid_checkpoint_bytes():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.adom")
+        save_model(path, build_network(TINY, Formulation("categorical", GRID30), seed=9))
+        with open(path, "rb") as f:
+            return f.read()

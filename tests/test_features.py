@@ -1,5 +1,10 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambidoa.features import (
     FeatureTensor,
@@ -267,6 +272,24 @@ class TestFeatureContainer:
         path.write_bytes(b"NOPE" + b"\0" * 32)
         with pytest.raises(ValueError):
             read_features(path)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_every_truncation_or_append_names_the_file(self, data):
+        values = np.linspace(-0.8, 0.8, 6 * 3 * 5).reshape(6, 3, 5)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "sample.adoa")
+            write_features(path, FeatureTensor(values=values))
+            with open(path, "rb") as f:
+                raw = f.read()
+            cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+            extra = data.draw(st.binary(min_size=1, max_size=7), label="extra")
+            for blob in (raw[:cut], raw + extra):
+                with open(path, "wb") as f:
+                    f.write(blob)
+                with pytest.raises(ValueError) as err:
+                    read_features(path)
+                assert path in str(err.value)
 
     def test_bound_enforced_on_construction(self):
         bad = np.full((6, 2, 4), 1.5)

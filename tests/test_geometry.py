@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from ambidoa.geometry import (
     build_grid,
     great_circle,
-    haversine_angles,
     nearest_class,
     to_cartesian,
     to_spherical,
@@ -93,10 +92,17 @@ class TestGreatCircle:
         st.floats(-np.pi / 2, np.pi / 2),
     )
     @settings(max_examples=200, deadline=None)
-    def test_haversine_range_and_symmetry(self, az1, el1, az2, el2):
-        d = haversine_angles(az1, el1, az2, el2)
+    def test_great_circle_range_and_symmetry(self, az1, el1, az2, el2):
+        a, b = to_cartesian(az1, el1), to_cartesian(az2, el2)
+        d = great_circle(a, b)
         assert 0.0 <= d <= np.pi + 1e-12
-        assert d == pytest.approx(haversine_angles(az2, el2, az1, el1), abs=1e-12)
+        assert d == pytest.approx(great_circle(b, a), abs=1e-12)
+
+    def test_zero_vector_rejected(self):
+        with pytest.raises(ValueError, match="zero vector"):
+            great_circle([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="zero vector"):
+            great_circle(random_units(3, 1), np.zeros((3, 3)))
 
 
 class TestSphereGrid:
@@ -131,7 +137,7 @@ class TestSphereGrid:
         grid = build_grid(10.0)
         probes = random_units(1000, 5)
         for p in probes:
-            dists = [great_circle(p, c) for c in grid.directions]
+            dists = great_circle(p, grid.directions)
             assert nearest_class(grid, p) == int(np.argmin(dists))
 
     def test_coverage_radius(self):
