@@ -59,7 +59,10 @@ class Layer:
 
 
 class Conv2d(Layer):
-    """3x3 same-padded convolution over (frames, bins)."""
+    """3x3 same-padded convolution over (frames, bins), lowered to one GEMM
+    per sample: im2col gathers a (c_in*9, frames*bins) column matrix, and
+    col2im scatters its gradient back. Columns are built for one sample at a
+    time, so the buffer never holds the whole batch."""
 
     def __init__(self, c_in, c_out, rng):
         self.c_in = c_in
@@ -77,32 +80,45 @@ class Conv2d(Layer):
     def grads(self):
         return {"w": self.dw, "b": self.db}
 
+    @staticmethod
+    def _im2col(xpad_i, cols):
+        """Fill cols[c, dt, df] with the (dt, df)-shifted window of one padded
+        sample (c, frames + 2, bins + 2)."""
+        _, _, _, t, f = cols.shape
+        for dt in range(3):
+            for df in range(3):
+                cols[:, dt, df] = xpad_i[:, dt : dt + t, df : df + f]
+
     def forward(self, x, train=False):
         b, c, t, f = x.shape
         xpad = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
         self._xpad = xpad
-        out = np.zeros((b, self.c_out, t, f))
-        for dt in range(3):
-            for df in range(3):
-                patch = xpad[:, :, dt : dt + t, df : df + f]
-                out += np.einsum("oc,bctf->botf", self.w[:, :, dt, df], patch,
-                                 optimize=True)
-        return out + self.b[None, :, None, None]
+        w = self.w.reshape(self.c_out, c * 9)
+        cols = np.empty((c, 3, 3, t, f))
+        out = np.empty((b, self.c_out, t, f))
+        for i in range(b):
+            self._im2col(xpad[i], cols)
+            np.matmul(w, cols.reshape(c * 9, t * f),
+                      out=out[i].reshape(self.c_out, t * f))
+        out += self.b[None, :, None, None]
+        return out
 
     def backward(self, dy):
         xpad = self._xpad
         b, c, tp, fp = xpad.shape
         t, f = tp - 2, fp - 2
+        w = self.w.reshape(self.c_out, c * 9)
+        dw = self.dw.reshape(self.c_out, c * 9)  # a view: += accumulates into dw
+        cols = np.empty((c, 3, 3, t, f))
         dxpad = np.zeros_like(xpad)
-        for dt in range(3):
-            for df in range(3):
-                patch = xpad[:, :, dt : dt + t, df : df + f]
-                self.dw[:, :, dt, df] += np.einsum(
-                    "botf,bctf->oc", dy, patch, optimize=True
-                )
-                dxpad[:, :, dt : dt + t, df : df + f] += np.einsum(
-                    "oc,botf->bctf", self.w[:, :, dt, df], dy, optimize=True
-                )
+        for i in range(b):
+            self._im2col(xpad[i], cols)
+            dy_i = dy[i].reshape(self.c_out, t * f)
+            dw += dy_i @ cols.reshape(c * 9, t * f).T
+            dcols = (w.T @ dy_i).reshape(c, 3, 3, t, f)
+            for dt in range(3):
+                for df in range(3):
+                    dxpad[i, :, dt : dt + t, df : df + f] += dcols[:, dt, df]
         self.db += dy.sum(axis=(0, 2, 3))
         return dxpad[:, :, 1:-1, 1:-1]
 
@@ -135,33 +151,40 @@ class BatchNorm2d(Layer):
         return {"run_mean": self.run_mean, "run_var": self.run_var}
 
     def forward(self, x, train=False):
-        axes = (0, 2, 3)
+        b, c, t, f = x.shape
+        xv = x.reshape(b, c, t * f)
         if train:
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            n = b * t * f
+            mean = np.einsum("bcn->c", xv) / n
+            xhat = xv - mean[:, None]
+            var = np.einsum("bcn,bcn->c", xhat, xhat) / n
             self.run_mean[...] = self.momentum * self.run_mean + (1 - self.momentum) * mean
             self.run_var[...] = self.momentum * self.run_var + (1 - self.momentum) * var
         else:
             mean, var = self.run_mean, self.run_var
+            xhat = xv - mean[:, None]
         inv = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean[None, :, None, None]) * inv[None, :, None, None]
+        xhat *= inv[:, None]
         self._cache = (xhat, inv, train)
-        return self.gamma[None, :, None, None] * xhat + self.beta[None, :, None, None]
+        out = xhat * self.gamma[:, None]
+        out += self.beta[:, None]
+        return out.reshape(b, c, t, f)
 
     def backward(self, dy):
         xhat, inv, train = self._cache
-        axes = (0, 2, 3)
-        self.dgamma += (dy * xhat).sum(axis=axes)
-        self.dbeta += dy.sum(axis=axes)
-        gscaled = dy * self.gamma[None, :, None, None]
-        if not train:
-            return gscaled * inv[None, :, None, None]
-        n = dy.shape[0] * dy.shape[2] * dy.shape[3]
-        mean_g = gscaled.mean(axis=axes)
-        mean_gx = (gscaled * xhat).mean(axis=axes)
-        return inv[None, :, None, None] * (
-            gscaled - mean_g[None, :, None, None] - xhat * mean_gx[None, :, None, None]
-        )
+        b, c, t, f = dy.shape
+        dyv = dy.reshape(b, c, t * f)
+        sum_dy = np.einsum("bcn->c", dyv)
+        sum_dyx = np.einsum("bcn,bcn->c", dyv, xhat)
+        self.dgamma += sum_dyx
+        self.dbeta += sum_dy
+        scale = self.gamma * inv
+        dx = dyv * scale[:, None]
+        if train:
+            n = b * t * f
+            dx -= xhat * (scale * sum_dyx / n)[:, None]
+            dx -= (scale * sum_dy / n)[:, None]
+        return dx.reshape(b, c, t, f)
 
 
 class ReLU(Layer):
@@ -185,17 +208,17 @@ class MaxPoolFreq(Layer):
         k = self.factor
         f_out = f // k
         blocks = x[:, :, :, : f_out * k].reshape(b, c, t, f_out, k)
-        self._argmax = blocks.argmax(axis=4)
+        self._argmax = blocks.argmax(axis=4)[..., None]
         self._in_bins = f
-        return blocks.max(axis=4)
+        return np.take_along_axis(blocks, self._argmax, axis=4)[..., 0]
 
     def backward(self, dy):
         b, c, t, f_out = dy.shape
         k = self.factor
-        dblocks = np.zeros((b, c, t, f_out, k))
-        np.put_along_axis(dblocks, self._argmax[..., None], dy[..., None], axis=4)
         dx = np.zeros((b, c, t, self._in_bins))
-        dx[:, :, :, : f_out * k] = dblocks.reshape(b, c, t, f_out * k)
+        # splitting the bin axis of a slice is a view, so the scatter lands in dx
+        dblocks = dx[:, :, :, : f_out * k].reshape(b, c, t, f_out, k)
+        np.put_along_axis(dblocks, self._argmax, dy[..., None], axis=4)
         return dx
 
 

@@ -1,14 +1,18 @@
-"""Layer-level checks: shapes, analytic gradients against finite differences."""
+"""Layer-level checks: shapes, loop oracles, analytic gradients against
+finite differences."""
+
+import tracemalloc
 
 import numpy as np
+import pytest
 
 from ambidoa import nn
 
 
-def fd_param_check(layer, x, tol=1e-7, step=1e-5):
+def fd_param_check(layer, x, tol=1e-7, step=1e-5, train=True):
     """Compare layer parameter gradients with central differences under a
     fixed random linear functional of the output."""
-    y = layer.forward(x, train=True)
+    y = layer.forward(x, train=train)
     proj = np.random.default_rng(1).standard_normal(y.shape)
     layer.zero_grads()
     layer.backward(proj)
@@ -19,9 +23,9 @@ def fd_param_check(layer, x, tol=1e-7, step=1e-5):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            lp = (layer.forward(x, train=True) * proj).sum()
+            lp = (layer.forward(x, train=train) * proj).sum()
             flat[i] = orig - step
-            lm = (layer.forward(x, train=True) * proj).sum()
+            lm = (layer.forward(x, train=train) * proj).sum()
             flat[i] = orig
             nflat[i] = (lp - lm) / (2 * step)
         err = np.linalg.norm(analytic - numeric) / max(
@@ -30,8 +34,8 @@ def fd_param_check(layer, x, tol=1e-7, step=1e-5):
         assert err < tol, f"{type(layer).__name__}.{name}: {err}"
 
 
-def fd_input_check(layer, x, tol=1e-7, step=1e-5):
-    y = layer.forward(x, train=True)
+def fd_input_check(layer, x, tol=1e-7, step=1e-5, train=True):
+    y = layer.forward(x, train=train)
     proj = np.random.default_rng(2).standard_normal(y.shape)
     layer.zero_grads()
     dx = layer.backward(proj)
@@ -41,9 +45,9 @@ def fd_input_check(layer, x, tol=1e-7, step=1e-5):
     for j, i in enumerate(sel):
         orig = flat[i]
         flat[i] = orig + step
-        lp = (layer.forward(x, train=True) * proj).sum()
+        lp = (layer.forward(x, train=train) * proj).sum()
         flat[i] = orig - step
-        lm = (layer.forward(x, train=True) * proj).sum()
+        lm = (layer.forward(x, train=train) * proj).sum()
         flat[i] = orig
         numeric[j] = (lp - lm) / (2 * step)
     analytic = dx.reshape(-1)[sel]
@@ -53,6 +57,30 @@ def fd_input_check(layer, x, tol=1e-7, step=1e-5):
     assert err < tol, f"{type(layer).__name__} input grad: {err}"
 
 
+def conv3x3_loops(x, w, bias):
+    """Zero-padded 3x3 cross-correlation, one scalar product at a time."""
+    b, c_in, t, f = x.shape
+    c_out = w.shape[0]
+    out = np.zeros((b, c_out, t, f))
+    for n in range(b):
+        for o in range(c_out):
+            for i in range(t):
+                for j in range(f):
+                    acc = bias[o]
+                    for c in range(c_in):
+                        for dt in range(3):
+                            for df in range(3):
+                                ii, jj = i + dt - 1, j + df - 1
+                                if 0 <= ii < t and 0 <= jj < f:
+                                    acc += w[o, c, dt, df] * x[n, c, ii, jj]
+                    out[n, o, i, j] = acc
+    return out
+
+
+# (batch, c_in, c_out, frames, bins)
+CONV_SHAPES = [(1, 2, 3, 4, 5), (2, 3, 5, 1, 6), (2, 4, 2, 6, 1), (3, 6, 4, 5, 17)]
+
+
 class TestConv2d:
     def test_shape_preserving(self):
         rng = np.random.default_rng(0)
@@ -60,12 +88,47 @@ class TestConv2d:
         y = layer.forward(rng.standard_normal((2, 3, 7, 11)))
         assert y.shape == (2, 5, 7, 11)
 
+    @pytest.mark.parametrize("shape", CONV_SHAPES)
+    def test_forward_matches_loop_oracle(self, shape):
+        b, c_in, c_out, t, f = shape
+        rng = np.random.default_rng(14)
+        layer = nn.Conv2d(c_in, c_out, rng)
+        x = rng.standard_normal((b, c_in, t, f))
+        np.testing.assert_allclose(layer.forward(x), conv3x3_loops(x, layer.w, layer.b),
+                                   rtol=0, atol=1e-12)
+
     def test_gradients(self):
         rng = np.random.default_rng(4)
         layer = nn.Conv2d(3, 4, rng)
         x = rng.standard_normal((2, 3, 5, 8))
         fd_param_check(layer, x)
         fd_input_check(layer, x)
+
+    @pytest.mark.parametrize("shape", CONV_SHAPES[:3])
+    def test_gradients_edge_shapes(self, shape):
+        b, c_in, c_out, t, f = shape
+        rng = np.random.default_rng(15)
+        layer = nn.Conv2d(c_in, c_out, rng)
+        x = rng.standard_normal((b, c_in, t, f))
+        fd_param_check(layer, x)
+        fd_input_check(layer, x)
+
+    def test_column_buffer_holds_one_sample(self):
+        """Forward plus backward at batch 32 on the desk first stage (6 -> 8
+        channels, 25 x 129) peaks near 15 MB with one sample's columns
+        (1.4 MB); a column matrix for the whole batch alone takes 44.6 MB."""
+        rng = np.random.default_rng(16)
+        layer = nn.Conv2d(6, 8, rng)
+        x = rng.standard_normal((32, 6, 25, 129))
+        dy = rng.standard_normal((32, 8, 25, 129))
+        tracemalloc.start()
+        try:
+            layer.forward(x, train=True)
+            layer.backward(dy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestBatchNorm:
@@ -95,6 +158,17 @@ class TestBatchNorm:
         fd_param_check(layer, x)
         fd_input_check(layer, x)
 
+    def test_gradients_inference_mode(self):
+        rng = np.random.default_rng(17)
+        layer = nn.BatchNorm2d(3)
+        layer.gamma[...] = rng.uniform(0.5, 1.5, 3)
+        layer.beta[...] = rng.uniform(-0.5, 0.5, 3)
+        layer.run_mean[...] = rng.uniform(-1.0, 1.0, 3)
+        layer.run_var[...] = rng.uniform(0.5, 2.0, 3)
+        x = rng.standard_normal((3, 3, 4, 5))
+        fd_param_check(layer, x, train=False)
+        fd_input_check(layer, x, train=False)
+
 
 class TestMaxPoolFreq:
     def test_pooling_and_floor(self):
@@ -113,6 +187,14 @@ class TestMaxPoolFreq:
         assert dx.shape == x.shape
         assert dx.sum() == y.size
         assert np.all((dx == 0) | (dx == 1))
+
+    def test_tie_routes_gradient_to_first_maximum(self):
+        x = np.array([[[[1.0, 5.0, 5.0, 2.0, 3.0, 3.0, 3.0, 0.0, 9.0]]]])
+        layer = nn.MaxPoolFreq(4)
+        y = layer.forward(x)
+        np.testing.assert_array_equal(y, [[[[5.0, 3.0]]]])
+        dx = layer.backward(np.array([[[[2.0, 7.0]]]]))
+        np.testing.assert_array_equal(dx, [[[[0.0, 2.0, 0.0, 0.0, 7.0, 0.0, 0.0, 0.0, 0.0]]]])
 
 
 class TestBiLSTM:
