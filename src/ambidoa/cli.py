@@ -45,18 +45,22 @@ from .evaluate import (
     track,
 )
 from .foa import encode_srir, read_wav, write_wav, direction_angles
-from .geometry import build_grid, to_cartesian
-from .music import music_estimate
+from .geometry import COVERAGE_PROBES, build_grid, to_cartesian
+from .music import WINDOW as MUSIC_WINDOW, music_estimate
 from .plots import svg_line_chart
 
 FORMULATIONS = ("categorical", "cartesian", "spherical")
 
 
 def _workers():
+    raw = os.environ.get("AMBIDOA_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("AMBIDOA_THREADS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"AMBIDOA_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def _write_run_json(out_dir, subcommand, resolved):
@@ -140,10 +144,10 @@ def cmd_render(args):
 
 def cmd_gridinfo(args):
     grid = build_grid(args.resolution)
-    coverage = grid.coverage_radius_deg(n_probes=10000, seed=args.seed)
+    coverage = grid.coverage_radius_deg(seed=args.seed)
     print(f"resolution: {args.resolution} deg")
     print(f"classes: {len(grid)}")
-    print(f"coverage radius over 10000 probes: {coverage:.3f} deg")
+    print(f"coverage radius over {COVERAGE_PROBES} probes: {coverage:.3f} deg")
     if args.csv:
         grid.to_csv(args.csv)
         print(f"class centers written to {args.csv}")
@@ -245,7 +249,7 @@ def cmd_track(args):
     else:
         grid = build_grid(args.resolution)
         predictor = music_window_predictor(grid)
-        frames, window = 25, 1024
+        frames, window = 25, MUSIC_WINDOW
         label = "music"
     result = track(predictor, signal, truth, hop_frames=args.hop,
                    frames=frames, window=window)

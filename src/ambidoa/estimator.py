@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 HAVERSINE_CLAMP = 1e-12
+GRAD_CHECK_STEP = 1e-4
 MODEL_MAGIC = b"ADOM"
 MODEL_VERSION = 1
 
@@ -213,16 +214,6 @@ class Network:
         y = self.model.forward(x, train=train)
         return y[0] if single else y
 
-    def stage_outputs(self, x):
-        """Shapes produced by each conv stage for one input; for reporting."""
-        x = np.asarray(x, dtype=np.float64)[None]
-        shapes = []
-        for layer in self.model.layers:
-            x = layer.forward(x, train=False)
-            if isinstance(layer, nn.MaxPoolFreq):
-                shapes.append(tuple(x.shape[1:]))
-        return shapes
-
 
 def build_network(config: NetworkConfig, formulation: Formulation, seed=0):
     """Assemble the CRNN; the trunk is drawn before the head so that all three
@@ -368,18 +359,18 @@ def _activation_signature(model):
     return b"".join(parts)
 
 
-def grad_check(net: Network, x, target, step=1e-4, return_skipped=False):
+def grad_check(net: Network, x, target, return_skipped=False):
     """Max over parameter tensors of the relative error between analytic
     gradients and central finite differences:
 
         ||g_analytic - g_numeric|| / max(||g_analytic|| + ||g_numeric||, 1e-12)
 
-    Every scalar parameter is perturbed (practical at the tiny preset only).
-    Scalars whose +/-step interval crosses a ReLU or max-pool kink are
-    excluded from the comparison, because the two-point difference does not
-    estimate the derivative across a kink; their count is available via
-    ``return_skipped``. The analytic value replaces the numeric one in the
-    norm so skipping can only be neutral, never flattering.
+    Every scalar parameter is perturbed by +/-``GRAD_CHECK_STEP`` (practical
+    at the tiny preset only). Scalars whose +/-step interval crosses a ReLU or
+    max-pool kink are excluded from the comparison, because the two-point
+    difference does not estimate the derivative across a kink; their count is
+    available via ``return_skipped``. The analytic value replaces the numeric
+    one in the norm so skipping can only be neutral, never flattering.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 3:
@@ -400,15 +391,15 @@ def grad_check(net: Network, x, target, step=1e-4, return_skipped=False):
         nflat = numeric.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + GRAD_CHECK_STEP
             lp, sig_p = eval_loss()
-            flat[i] = orig - step
+            flat[i] = orig - GRAD_CHECK_STEP
             lm, sig_m = eval_loss()
             flat[i] = orig
             if sig_p != sig_m:
                 skipped += 1
                 continue
-            nflat[i] = (lp - lm) / (2.0 * step)
+            nflat[i] = (lp - lm) / (2.0 * GRAD_CHECK_STEP)
         denom = max(np.linalg.norm(ga) + np.linalg.norm(numeric), 1e-12)
         worst = max(worst, np.linalg.norm(ga - numeric) / denom)
     if return_skipped:
@@ -547,18 +538,9 @@ def predict_sample(net: Network, feature_tensor):
     return decode_outputs(out, net.formulation)
 
 
-def predict_window(net: Network, spec, center_frame):
-    """Direction estimate from the window of ``config.frames`` frames centered
-    at ``center_frame`` of a spectrogram; only that window is featurised."""
-    frames = net.config.frames
-    half = frames // 2
-    start = center_frame - half
-    if start < 0 or start + frames > spec.n_frames:
-        raise ValueError(
-            f"window [{start}, {start + frames}) does not fit in "
-            f"{spec.n_frames} frames"
-        )
-    window = replace(spec, bins=spec.bins[:, start : start + frames, :])
+def predict_window(net: Network, window):
+    """Direction estimate from a spectrogram of exactly ``config.frames``
+    frames, as :func:`ambidoa.evaluate.track` cuts it."""
     return predict_sample(net, intensity_features(window).values)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,7 +65,6 @@ class RenderConfig:
     max_bounces: int = 40
     receiver_radius: float = 0.3
     ir_seconds: float = 1.0
-    clip_seconds: float = 1.0
 
     def __post_init__(self):
         if self.method not in ("image", "trace"):
@@ -167,7 +166,7 @@ def _render_one(i, scene, cfg: RenderConfig, root_entropy, clips, out_dir):
     """Render one sample from its own generator, ``sample_rng(root, i)``."""
     rng = sample_rng(root_entropy, i)
     fs = cfg.sample_rate
-    clip_len = int(round(cfg.clip_seconds * fs))
+    clip_len = fs  # the one-second speech clip
     ir = encode_srir(propagate(scene, cfg, rng), fs, cfg.ir_length)
 
     if clips is None:
@@ -310,9 +309,10 @@ class TrackResult:
 
 
 def track(window_predictor, signal, truth, hop_frames, frames=25, window=1024):
-    """Slide a ``frames``-long window over the signal, predicting at each
-    center frame. ``window_predictor(spec, center_frame)`` returns a unit
-    direction; timestamps mark the center-frame time."""
+    """Slide a ``frames``-long window over the signal's STFT, ``hop_frames``
+    frames at a time. ``window_predictor(window)`` gets each window as its own
+    spectrogram and returns a unit direction; timestamps mark the window's
+    center-frame time."""
     if hop_frames < 1:
         raise ValueError("hop_frames must be >= 1")
     hop = window // 2
@@ -322,38 +322,30 @@ def track(window_predictor, signal, truth, hop_frames, frames=25, window=1024):
             f"signal holds {total_frames} frames; need at least {frames}"
         )
     spec = stft(signal, frames=total_frames, window=window)
-    half = frames // 2
-    centers = np.arange(half, total_frames - (frames - half - 1), hop_frames)
-    preds, times = [], []
-    for c in centers:
-        preds.append(window_predictor(spec, int(c)))
-        times.append((c * hop + window / 2) / signal.sample_rate)
-    preds = np.stack(preds)
+    starts = np.arange(0, total_frames - frames + 1, hop_frames)
+    preds = np.stack([
+        window_predictor(replace(spec, bins=spec.bins[:, s : s + frames]))
+        for s in starts
+    ])
     errors = angular_error(preds, np.broadcast_to(truth, preds.shape))
     return TrackResult(
-        timestamps=np.asarray(times), predictions=preds, errors=errors
+        timestamps=((starts + frames // 2) * hop + window / 2) / signal.sample_rate,
+        predictions=preds,
+        errors=errors,
     )
 
 
 def net_window_predictor(net):
     from .estimator import predict_window
 
-    return lambda spec, center: predict_window(net, spec, center)
+    return lambda window: predict_window(net, window)
 
 
-def music_window_predictor(grid, frames=25, band_hz=(300.0, 4000.0)):
-    from .music import band_to_bins, music_spectrum, spatial_covariance
+def music_window_predictor(grid):
+    from .music import music_spectrum, spatial_covariance
 
-    def predictor(spec, center):
-        half = frames // 2
-        sub = type(spec)(
-            bins=spec.bins[:, center - half : center - half + frames, :],
-            sample_rate=spec.sample_rate,
-            window=spec.window,
-            hop=spec.hop,
-        )
-        cov = spatial_covariance(sub, band_to_bins(sub, band_hz))
-        scores = music_spectrum(cov, grid)
+    def predictor(window):
+        scores = music_spectrum(spatial_covariance(window), grid)
         return grid.directions[int(np.argmax(scores))]
 
     return predictor
@@ -370,15 +362,6 @@ class ComparisonRow:
     mean_error_deg: float
     accuracies: tuple
     improvement_pct: float | None = None
-
-
-def _split(records, seed, test_fraction):
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(records))
-    n_test = max(1, int(round(len(records) * test_fraction)))
-    test = [records[i] for i in order[:n_test]]
-    train_ = [records[i] for i in order[n_test:]]
-    return train_, test
 
 
 def compare_methods(records_image, dir_image, records_trace, dir_trace,
@@ -402,16 +385,17 @@ def compare_methods(records_image, dir_image, records_trace, dir_trace,
             )
     net_config = net_config or NetworkConfig.desk()
 
-    train_img, test_img = _split(records_image, train_cfg.seed, test_fraction)
-    train_trc, test_trc = _split(records_trace, train_cfg.seed, test_fraction)
-    x_test, y_test = load_dataset(test_trc, dir_trace)
+    order = np.random.default_rng(train_cfg.seed).permutation(len(records_trace))
+    n_test = max(1, int(round(len(records_trace) * test_fraction)))
+    test, train_ = order[:n_test], order[n_test:]
+    x_test, y_test = load_dataset([records_trace[i] for i in test], dir_trace)
 
     rows = []
     for method, recs, base in (
-        ("image", train_img, dir_image),
-        ("trace", train_trc, dir_trace),
+        ("image", records_image, dir_image),
+        ("trace", records_trace, dir_trace),
     ):
-        x_train, y_train = load_dataset(recs, base)
+        x_train, y_train = load_dataset([recs[i] for i in train_], base)
         for formulation in formulations:
             net, _ = train(x_train, y_train, formulation, train_cfg,
                            config=net_config)

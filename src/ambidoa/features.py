@@ -92,12 +92,9 @@ class FeatureTensor:
             raise ValueError("intensity features exceed the sqrt(3)/2 bound")
 
 
-def convolve_foa(dry, ir: FoaIR, dry_sample_rate=None):
-    """Channel-wise full convolution of a dry mono signal with a 4-channel IR."""
-    if dry_sample_rate is not None and dry_sample_rate != ir.sample_rate:
-        raise ValueError(
-            f"sample-rate mismatch: dry {dry_sample_rate} vs IR {ir.sample_rate}"
-        )
+def convolve_foa(dry, ir: FoaIR):
+    """Channel-wise full convolution of a dry mono signal, taken to be at the
+    IR's sample rate, with a 4-channel IR."""
     dry = np.asarray(dry, dtype=np.float64)
     out = fftconvolve(ir.channels, dry[None, :], mode="full", axes=1)
     return FoaSignal(channels=out, sample_rate=ir.sample_rate)
@@ -251,12 +248,12 @@ def intensity_features(spec: Spectrogram):
     return FeatureTensor(values=np.concatenate([active, reactive], axis=0))
 
 
-def decode_direction(features: FeatureTensor, power_quantile=0.5):
+def decode_direction(features: FeatureTensor):
     """Model-free DOA readout: normalized mean active intensity over the most
-    energetic bins (by |Ia|, above the given quantile)."""
+    energetic half of the bins (|Ia| at or above its median)."""
     ia = features.values[:3]
     mag = np.linalg.norm(ia, axis=0)
-    mask = mag >= np.quantile(mag, power_quantile)
+    mask = mag >= np.quantile(mag, 0.5)
     mean = ia[:, mask].mean(axis=1)
     norm = np.linalg.norm(mean)
     if norm < 1e-12:

@@ -23,6 +23,8 @@ __all__ = [
     "nearest_class",
 ]
 
+COVERAGE_PROBES = 10000
+
 
 def to_cartesian(azimuth, elevation):
     """Unit vector(s) for azimuth/elevation in radians. Broadcasts."""
@@ -93,10 +95,11 @@ class SphereGrid:
             for i, (a, e) in enumerate(zip(az_deg, el_deg)):
                 f.write(f"{i},{a:.6f},{e:.6f}\n")
 
-    def coverage_radius_deg(self, n_probes=10000, seed=0):
-        """Max over random probe directions of the distance to the nearest center."""
+    def coverage_radius_deg(self, seed=0):
+        """Max over ``COVERAGE_PROBES`` random probe directions of the distance
+        to the nearest center."""
         rng = np.random.default_rng(seed)
-        probes = rng.standard_normal((n_probes, 3))
+        probes = rng.standard_normal((COVERAGE_PROBES, 3))
         probes /= np.linalg.norm(probes, axis=1, keepdims=True)
         dots = probes @ self.directions.T
         best = np.arccos(np.clip(dots.max(axis=1), -1.0, 1.0))

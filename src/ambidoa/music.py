@@ -25,6 +25,7 @@ __all__ = [
 
 SCORE_EPS = 1e-12
 DEFAULT_BAND_HZ = (300.0, 4000.0)
+WINDOW = 1024  # STFT length of music_estimate and of `ambidoa track` without a model
 
 
 @dataclass
@@ -51,48 +52,41 @@ def band_to_bins(spec, band_hz=DEFAULT_BAND_HZ):
     return sel
 
 
-def spatial_covariance(spec, bin_range=None):
-    """R_f = (1/T) sum_t x(t, f) x(t, f)^H for each selected bin."""
+def spatial_covariance(spec):
+    """R_f = (1/T) sum_t x(t, f) x(t, f)^H for each bin of ``DEFAULT_BAND_HZ``."""
     if spec.n_frames < 2:
         raise ValueError("need at least 2 frames to average a covariance")
-    if bin_range is None:
-        bin_range = band_to_bins(spec)
-    bin_range = np.asarray(bin_range)
+    bin_range = band_to_bins(spec)
     x = spec.bins[:, :, bin_range]  # 4 x T x B
     mats = np.einsum("ctb,dtb->bcd", x, np.conj(x), optimize=True) / spec.n_frames
     return CovarianceSet(matrices=mats, frequencies=spec.frequencies()[bin_range])
 
 
-def music_spectrum(cov: CovarianceSet, grid: SphereGrid, n_sources=1):
-    """Noise-subspace scores per grid class.
+def music_spectrum(cov: CovarianceSet, grid: SphereGrid):
+    """Noise-subspace scores per grid class, one source assumed.
 
-    Per bin: eigendecompose R_f, take the eigenvectors beyond the largest
-    ``n_sources`` as the noise subspace E_n, score(d) = 1 / (||E_n^H a(d)||^2
-    + eps) with a(d) the FOA gain vector. Per-bin scores are normalized to a
-    unit maximum before averaging so loud bins cannot dominate.
+    All bins are eigendecomposed in one stacked ``eigh``; per bin the three
+    eigenvectors beyond the largest form the noise subspace E_n, and
+    score(d) = 1 / (||E_n^H a(d)||^2 + eps) with a(d) the FOA gain vector.
+    Per-bin scores are normalized to a unit maximum before averaging so loud
+    bins cannot dominate.
     """
-    if not 1 <= n_sources <= 3:
-        raise ValueError("n_sources must be in [1, 3]")
     steering = foa_gains(grid.directions)  # (n_classes, 4) real
-    scores = np.zeros(len(grid))
-    for r in cov.matrices:
-        vals, vecs = np.linalg.eigh(r)
-        if not np.all(np.isfinite(vals)):
-            raise np.linalg.LinAlgError("eigendecomposition produced non-finite values")
-        noise = vecs[:, : 4 - n_sources]  # eigh sorts ascending
-        proj = np.abs(steering @ np.conj(noise)) ** 2  # (n_classes, n_noise)
-        bin_scores = 1.0 / (proj.sum(axis=1) + SCORE_EPS)
-        scores += bin_scores / bin_scores.max()
-    return scores / len(cov.matrices)
+    vals, vecs = np.linalg.eigh(cov.matrices)
+    if not np.all(np.isfinite(vals)):
+        raise np.linalg.LinAlgError("eigendecomposition produced non-finite values")
+    noise = vecs[:, :, :3]  # eigh sorts ascending
+    proj = np.abs(steering @ np.conj(noise)) ** 2  # (bins, n_classes, 3)
+    bin_scores = 1.0 / (proj.sum(axis=2) + SCORE_EPS)
+    return (bin_scores / bin_scores.max(axis=1, keepdims=True)).sum(axis=0) / len(bin_scores)
 
 
-def music_estimate(signal, grid: SphereGrid, band_hz=DEFAULT_BAND_HZ, window=1024):
+def music_estimate(signal, grid: SphereGrid):
     """Full pipeline: STFT, spatial covariance, subspace scan, argmax class."""
-    hop = window // 2
-    frames = (signal.channels.shape[1] - window) // hop + 1
+    hop = WINDOW // 2
+    frames = (signal.channels.shape[1] - WINDOW) // hop + 1
     if frames < 2:
         raise ValueError("signal too short for a covariance average")
-    spec = stft(signal, frames=frames, window=window)
-    cov = spatial_covariance(spec, band_to_bins(spec, band_hz))
-    scores = music_spectrum(cov, grid)
+    spec = stft(signal, frames=frames, window=WINDOW)
+    scores = music_spectrum(spatial_covariance(spec), grid)
     return grid.directions[int(np.argmax(scores))], scores

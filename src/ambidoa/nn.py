@@ -24,6 +24,9 @@ __all__ = [
     "Sequential",
 ]
 
+BN_MOMENTUM = 0.9
+BN_EPS = 1e-5
+
 
 def _uniform_init(rng, shape, fan_in):
     bound = 1.0 / np.sqrt(fan_in)
@@ -127,18 +130,17 @@ class BatchNorm2d(Layer):
     """Per-channel normalization over (batch, frames, bins).
 
     Training mode normalizes by batch statistics and refreshes the running
-    averages (momentum 0.9); inference mode uses the running averages.
+    averages (momentum ``BN_MOMENTUM``); inference mode uses the running
+    averages. ``BN_EPS`` is added to the variance.
     """
 
-    def __init__(self, channels, momentum=0.9, eps=1e-5):
+    def __init__(self, channels):
         self.gamma = np.ones(channels)
         self.beta = np.zeros(channels)
         self.dgamma = np.zeros(channels)
         self.dbeta = np.zeros(channels)
         self.run_mean = np.zeros(channels)
         self.run_var = np.ones(channels)
-        self.momentum = momentum
-        self.eps = eps
         self._cache = None
 
     def params(self):
@@ -158,12 +160,12 @@ class BatchNorm2d(Layer):
             mean = np.einsum("bcn->c", xv) / n
             xhat = xv - mean[:, None]
             var = np.einsum("bcn,bcn->c", xhat, xhat) / n
-            self.run_mean[...] = self.momentum * self.run_mean + (1 - self.momentum) * mean
-            self.run_var[...] = self.momentum * self.run_var + (1 - self.momentum) * var
+            self.run_mean[...] = BN_MOMENTUM * self.run_mean + (1 - BN_MOMENTUM) * mean
+            self.run_var[...] = BN_MOMENTUM * self.run_var + (1 - BN_MOMENTUM) * var
         else:
             mean, var = self.run_mean, self.run_var
             xhat = xv - mean[:, None]
-        inv = 1.0 / np.sqrt(var + self.eps)
+        inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv[:, None]
         self._cache = (xhat, inv, train)
         out = xhat * self.gamma[:, None]

@@ -7,16 +7,17 @@ import numpy as np
 __all__ = ["svg_line_chart"]
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
+WIDTH, HEIGHT = 720, 360  # pixels
 
 
-def svg_line_chart(path, x, series, title="", x_label="", y_label="",
-                   width=720, height=360):
+def svg_line_chart(path, x, series, title="", x_label="", y_label=""):
     """Write a simple multi-series line chart.
 
     ``series`` maps legend labels to y arrays matching ``x``. Output is
     deterministic for identical inputs.
     """
     x = np.asarray(x, dtype=np.float64)
+    width, height = WIDTH, HEIGHT
     margin = 55
     plot_w = width - 2 * margin
     plot_h = height - 2 * margin

@@ -69,6 +69,17 @@ class TestPipeline:
                 written.channels, expected.channels.astype(np.float32)
             )
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "2.5", ""])
+    def test_bad_thread_count_is_refused(self, pipeline_dir, tmp_path, monkeypatch,
+                                         capsys, value):
+        monkeypatch.setenv("AMBIDOA_THREADS", value)
+        assert run([
+            "render", "--scenes", str(pipeline_dir / "sim" / "scenes.json"),
+            "--out", str(tmp_path / "feats"),
+        ]) == 2
+        assert "AMBIDOA_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "feats" / "manifest.jsonl").exists()
+
     def test_render_produces_features(self, pipeline_dir):
         feats = pipeline_dir / "feats"
         rows = (feats / "manifest.jsonl").read_text().strip().splitlines()

@@ -2,12 +2,14 @@ import json
 import os
 import struct
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ambidoa import nn
 from ambidoa.estimator import (
     Formulation,
     Network,
@@ -42,6 +44,17 @@ def tiny_input(batch=2, seed=0):
     return rng.uniform(-0.8, 0.8, (batch, 6, TINY.frames, TINY.freq_bins))
 
 
+def stage_outputs(net, x):
+    """Shapes produced by each conv stage of ``net`` for one input."""
+    x = np.asarray(x, dtype=np.float64)[None]
+    shapes = []
+    for layer in net.model.layers:
+        x = layer.forward(x, train=False)
+        if isinstance(layer, nn.MaxPoolFreq):
+            shapes.append(tuple(x.shape[1:]))
+    return shapes
+
+
 class TestArchitecture:
     def test_paper_preset_stage_shapes(self):
         cfg = NetworkConfig.paper()
@@ -51,7 +64,7 @@ class TestArchitecture:
     def test_paper_preset_reports_shapes_on_real_input(self):
         net = build_network(NetworkConfig.paper(), Formulation("cartesian"), seed=0)
         x = np.zeros((6, 25, 513))
-        assert net.stage_outputs(x) == [(64, 25, 64), (64, 25, 8), (64, 25, 2)]
+        assert stage_outputs(net, x) == [(64, 25, 64), (64, 25, 8), (64, 25, 2)]
 
     def test_desk_preset_strictly_smaller(self):
         paper = build_network(NetworkConfig.paper(), Formulation("cartesian"), seed=0)
@@ -333,11 +346,12 @@ class TestDecoding:
         spec = stft(sig, frames=40, window=256)
         form = Formulation("cartesian")
         net = build_network(NetworkConfig.desk(), form, seed=0)
-        direction = predict_window(net, spec, center_frame=20)
+        direction = predict_window(net, replace(spec, bins=spec.bins[:, 8:33]))
         assert direction.shape == (3,)
         assert np.linalg.norm(direction) == pytest.approx(1.0)
-        with pytest.raises(ValueError, match="window"):
-            predict_window(net, spec, center_frame=5)
+        for frames in (24, 26):
+            with pytest.raises(ValueError, match=r"\(6, 25, 129\)"):
+                predict_window(net, replace(spec, bins=spec.bins[:, :frames]))
 
     def test_predict_window_matches_sample_on_the_same_slice(self):
         rng = np.random.default_rng(7)
@@ -346,10 +360,10 @@ class TestDecoding:
         net = build_network(NetworkConfig.desk(), Formulation("categorical", GRID30),
                             seed=3)
         feats = intensity_features(spec).values
-        for center in (12, 20, 27):
-            window = feats[:, center - 12 : center + 13, :]
-            assert np.array_equal(predict_window(net, spec, center),
-                                  predict_sample(net, window))
+        for start in (0, 8, 15):
+            window = replace(spec, bins=spec.bins[:, start : start + 25])
+            assert np.array_equal(predict_window(net, window),
+                                  predict_sample(net, feats[:, start : start + 25]))
 
 
 class TestParamCount:

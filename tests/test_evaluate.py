@@ -11,6 +11,7 @@ from ambidoa.estimator import (
     NetworkConfig,
     TrainConfig,
     build_network,
+    predict_sample,
     train,
 )
 from ambidoa.evaluate import (
@@ -29,6 +30,7 @@ from ambidoa.evaluate import (
     tolerance_accuracy,
     track,
 )
+from ambidoa.features import intensity_features, stft
 from ambidoa.foa import encode_plane_wave, encode_srir
 from ambidoa.geometry import build_grid, to_cartesian
 
@@ -94,6 +96,16 @@ class TestRenderDataset:
         with pytest.raises(ValueError):
             render_dataset(scenes, tmp_path, FAST_RENDER, seed=0,
                            allow_synthetic_speech=False)
+
+    def test_speech_at_another_sample_rate_is_refused(self, tmp_path):
+        from scipy.io import wavfile
+
+        speech = tmp_path / "speech"
+        speech.mkdir()
+        wavfile.write(str(speech / "talker.wav"), 48000, np.zeros(4800, dtype=np.int16))
+        scenes = sample_scenes(1, seed=1, pairs_per_room=1, absorption=0.8)
+        with pytest.raises(ValueError, match=r"talker\.wav: sample rate 48000 != 16000"):
+            render_dataset(scenes, tmp_path / "out", FAST_RENDER, speech_dir=str(speech))
 
     def test_record_json_round_trip(self):
         rec = SampleRecord(
@@ -178,6 +190,24 @@ class TestTrack:
         result = track(music_window_predictor(grid), sig, u, hop_frames=8)
         assert result.errors.std() < 1.0
         assert result.errors.mean() <= 10.0
+
+    def test_each_window_is_predicted_from_its_own_slice(self):
+        rng = np.random.default_rng(5)
+        u = to_cartesian(1.2, -0.3)
+        sig = encode_plane_wave(rng.standard_normal(6000), u, 16000)
+        net = build_network(NetworkConfig.desk(), Formulation("cartesian"), seed=2)
+        result = track(net_window_predictor(net), sig, u, hop_frames=3,
+                       frames=25, window=256)
+        total = (6000 - 256) // 128 + 1
+        feats = intensity_features(stft(sig, frames=total, window=256)).values
+        starts = np.arange(0, total - 24, 3)
+        assert len(result.predictions) == len(starts) == 7
+        for s, pred in zip(starts, result.predictions):
+            assert np.array_equal(pred, predict_sample(net, feats[:, s : s + 25]))
+        # centre frame s + 12, centre sample (s + 12) * hop + window / 2
+        np.testing.assert_array_equal(
+            result.timestamps, ((starts + 12) * 128 + 128) / 16000)
+        assert result.timestamps[0] == pytest.approx(0.104)
 
     def test_huge_hop_gives_single_prediction(self):
         rng = np.random.default_rng(2)

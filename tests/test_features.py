@@ -61,11 +61,6 @@ class TestConvolve:
         assert out.channels.shape[1] == FS + 39
         np.testing.assert_allclose(out.channels[0, 32 : 32 + FS], 0.5 * dry, atol=1e-9)
 
-    def test_sample_rate_mismatch(self):
-        ir = FoaIR(channels=np.ones((4, 4)), sample_rate=FS)
-        with pytest.raises(ValueError):
-            convolve_foa(np.ones(8), ir, dry_sample_rate=48000)
-
 
 class TestNoise:
     def test_snr_statistics(self):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from ambidoa.features import mix_noise, speech_shaped_noise, stft
-from ambidoa.foa import FoaSignal, encode_plane_wave
+from ambidoa.foa import FoaSignal, encode_plane_wave, foa_gains
 from ambidoa.geometry import build_grid, great_circle
 from ambidoa.music import (
+    SCORE_EPS,
     CovarianceSet,
     band_to_bins,
     music_estimate,
@@ -80,6 +81,20 @@ class TestMusicSpectrum:
         sig = FoaSignal(channels=rng.standard_normal((4, 14000)), sample_rate=FS)
         scores = music_spectrum(spatial_covariance(stft(sig, 25)), GRID)
         assert np.all(scores > 0.0)
+
+    def test_stacked_pass_equals_per_bin_loop(self):
+        sig = mix_noise(plane_wave([0.0, 0.6, 0.8], seed=9),
+                        speech_shaped_noise(16000, seed=10), 10.0)
+        cov = spatial_covariance(stft(sig, 25))
+        steering = foa_gains(GRID.directions)
+        scores = np.zeros(len(GRID))
+        for r in cov.matrices:
+            _, vecs = np.linalg.eigh(r)
+            proj = np.abs(steering @ np.conj(vecs[:, :3])) ** 2
+            bin_scores = 1.0 / (proj.sum(axis=1) + SCORE_EPS)
+            scores += bin_scores / bin_scores.max()
+        assert len(cov.matrices) > 100
+        assert np.array_equal(music_spectrum(cov, GRID), scores / len(cov.matrices))
 
     def test_covariance_set_validates_hermitian(self):
         bad = np.zeros((2, 4, 4), dtype=complex)
