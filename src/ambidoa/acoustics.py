@@ -144,19 +144,13 @@ class PathSet:
 # ---------------------------------------------------------------------------
 
 ABSORPTION_RANGE = (0.1, 0.7)  # uniform per-room draw when not overridden
+DIMS_MIN = (2.5, 2.5, 2.0)  # room dimensions are uniform in [DIMS_MIN, DIMS_MAX]
+DIMS_MAX = (10.0, 10.0, 3.0)
 
-def sample_scenes(
-    count,
-    seed,
-    dims_min=(2.5, 2.5, 2.0),
-    dims_max=(10.0, 10.0, 3.0),
-    pairs_per_room=3,
-    absorption=None,
-    scattering=None,
-):
+def sample_scenes(count, seed, pairs_per_room=3, absorption=None, scattering=None):
     """Sample shoebox scenes; ``pairs_per_room`` consecutive scenes share a room.
 
-    Room dimensions are uniform in [dims_min, dims_max] componentwise; sources
+    Room dimensions are uniform in [DIMS_MIN, DIMS_MAX] componentwise; sources
     and listeners are uniform in the margin-shrunk interior. Absorption is one
     uniform draw from U[0.1, 0.7] per room unless given; scattering one draw
     from U[0, 1] per room unless given. Deterministic for a fixed seed.
@@ -165,20 +159,11 @@ def sample_scenes(
         raise ValueError("count must be >= 1")
     if pairs_per_room < 1:
         raise ValueError("pairs_per_room must be >= 1")
-    dims_min = np.asarray(dims_min, dtype=np.float64)
-    dims_max = np.asarray(dims_max, dtype=np.float64)
-    if np.any(dims_min > dims_max):
-        raise ValueError("dims_min must be <= dims_max componentwise")
-    if np.any(dims_min <= 2 * WALL_MARGIN):
-        raise ValueError(
-            f"rooms with a dimension <= {2 * WALL_MARGIN} m cannot satisfy the "
-            f"{WALL_MARGIN} m wall margins"
-        )
     rng = np.random.default_rng(seed)
     scenes = []
     n_rooms = -(-count // pairs_per_room)
     for _ in range(n_rooms):
-        dims = rng.uniform(dims_min, dims_max)
+        dims = rng.uniform(DIMS_MIN, DIMS_MAX)
         alpha = rng.uniform(*ABSORPTION_RANGE) if absorption is None else absorption
         scatter = rng.uniform(0.0, 1.0) if scattering is None else scattering
         room = RoomConfig(dims=dims, absorption=alpha, scattering=float(scatter))

@@ -24,13 +24,14 @@ from .estimator import (
     TrainConfig,
     load_model,
     param_count,
-    predict_sample,
+    predict,
     save_model,
     train,
 )
 from .evaluate import (
     RenderConfig,
     angular_error,
+    check_receiver_clearance,
     comparison_csv,
     comparison_table,
     compare_methods,
@@ -85,6 +86,13 @@ def _net_config(preset):
     return NetworkConfig.paper() if preset == "paper" else NetworkConfig.desk()
 
 
+def _render_config(args, **fields):
+    """RenderConfig from the propagation flags that simulate and render share."""
+    return RenderConfig(method=args.method, max_order=args.max_order, n_rays=args.rays,
+                        max_bounces=args.max_bounces,
+                        receiver_radius=args.receiver_radius, **fields)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -97,17 +105,12 @@ def cmd_simulate(args):
         absorption=args.absorption,
         scattering=args.scattering,
     )
+    cfg = _render_config(args, ir_seconds=args.ir_seconds)
+    if args.write_irs:
+        check_receiver_clearance(scenes, cfg)
     os.makedirs(args.out, exist_ok=True)
     save_scenes(scenes, os.path.join(args.out, "scenes.json"), seed=args.seed)
     if args.write_irs:
-        cfg = RenderConfig(
-            method=args.method,
-            max_order=args.max_order,
-            n_rays=args.rays,
-            max_bounces=args.max_bounces,
-            receiver_radius=args.receiver_radius,
-            ir_seconds=args.ir_seconds,
-        )
         for i, scene in enumerate(scenes):
             paths = propagate(scene, cfg, sample_rng(args.seed, i))
             ir = encode_srir(paths, cfg.sample_rate, cfg.ir_length)
@@ -119,19 +122,10 @@ def cmd_simulate(args):
 
 def cmd_render(args):
     scenes = load_scenes(args.scenes)
-    cfg = RenderConfig(
-        method=args.method,
-        window=args.window,
-        frames=args.frames,
-        max_order=args.max_order,
-        n_rays=args.rays,
-        max_bounces=args.max_bounces,
-        receiver_radius=args.receiver_radius,
-    )
     records = render_dataset(
         scenes,
         args.out,
-        cfg,
+        _render_config(args, window=args.window, frames=args.frames),
         seed=args.seed,
         speech_dir=args.speech_dir,
         allow_synthetic_speech=not args.no_synthetic_speech,
@@ -186,8 +180,7 @@ def cmd_eval(args):
     records = load_manifest(args.manifest)
     base = os.path.dirname(os.path.abspath(args.manifest))
     x, y = load_dataset(records, base)
-    preds = np.stack([predict_sample(net, xi) for xi in x])
-    errors = angular_error(preds, y)
+    errors = angular_error(predict(net, x), y)
     acc = tolerance_accuracy(errors)
     with open(args.report, "w", encoding="ascii") as f:
         f.write("scene_id,error_deg\n")
@@ -275,6 +268,14 @@ def cmd_track(args):
 # parser
 # ---------------------------------------------------------------------------
 
+def _add_propagation_flags(p):
+    p.add_argument("--method", choices=("image", "trace"), default=RenderConfig.method)
+    p.add_argument("--max-order", type=int, default=RenderConfig.max_order)
+    p.add_argument("--rays", type=int, default=RenderConfig.n_rays)
+    p.add_argument("--max-bounces", type=int, default=RenderConfig.max_bounces)
+    p.add_argument("--receiver-radius", type=float, default=RenderConfig.receiver_radius)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ambidoa",
@@ -288,26 +289,18 @@ def build_parser():
     p.add_argument("--pairs", type=int, default=3)
     p.add_argument("--absorption", type=float, default=None)
     p.add_argument("--scattering", type=float, default=None)
-    p.add_argument("--method", choices=("image", "trace"), default="image")
-    p.add_argument("--max-order", type=int, default=3)
-    p.add_argument("--rays", type=int, default=20000)
-    p.add_argument("--max-bounces", type=int, default=40)
-    p.add_argument("--receiver-radius", type=float, default=0.3)
-    p.add_argument("--ir-seconds", type=float, default=1.0)
+    _add_propagation_flags(p)
+    p.add_argument("--ir-seconds", type=float, default=RenderConfig.ir_seconds)
     p.add_argument("--write-irs", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("render", help="render features from a scene manifest")
     p.add_argument("--scenes", required=True)
-    p.add_argument("--method", choices=("image", "trace"), default="image")
+    _add_propagation_flags(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--window", type=int, default=256)
-    p.add_argument("--frames", type=int, default=25)
-    p.add_argument("--max-order", type=int, default=3)
-    p.add_argument("--rays", type=int, default=20000)
-    p.add_argument("--max-bounces", type=int, default=40)
-    p.add_argument("--receiver-radius", type=float, default=0.3)
+    p.add_argument("--window", type=int, default=RenderConfig.window)
+    p.add_argument("--frames", type=int, default=RenderConfig.frames)
     p.add_argument("--speech-dir", default=None)
     p.add_argument("--no-synthetic-speech", action="store_true")
     p.add_argument("--out", required=True)
@@ -323,10 +316,10 @@ def build_parser():
     p.add_argument("--manifest", required=True)
     p.add_argument("--formulation", choices=FORMULATIONS, required=True)
     p.add_argument("--preset", choices=("paper", "desk"), default="desk")
-    p.add_argument("--epochs", type=int, default=30)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--resolution", type=float, default=10.0,
                    help="grid resolution for the categorical head")
     p.add_argument("--out", required=True)
@@ -344,9 +337,9 @@ def build_parser():
     p.add_argument("--formulations", nargs="+", choices=FORMULATIONS,
                    default=list(FORMULATIONS))
     p.add_argument("--preset", choices=("paper", "desk"), default="desk")
-    p.add_argument("--epochs", type=int, default=30)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch-size", type=int, default=16)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--resolution", type=float, default=10.0)
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_compare)

@@ -42,6 +42,7 @@ __all__ = [
     "backward",
     "grad_check",
     "train",
+    "predict",
     "predict_window",
     "predict_sample",
     "param_count",
@@ -52,6 +53,8 @@ __all__ = [
 
 HAVERSINE_CLAMP = 1e-12
 GRAD_CHECK_STEP = 1e-4
+CLIP_NORM = 5.0  # global gradient-norm ceiling of every optimizer step
+PREDICT_ELEMENTS = 1 << 20  # input elements per inference forward pass
 MODEL_MAGIC = b"ADOM"
 MODEL_VERSION = 1
 
@@ -178,7 +181,6 @@ class TrainConfig:
     batch_size: int = 16
     epochs: int = 30
     seed: int = 0
-    clip_norm: float = 5.0
     val_fraction: float = 0.1
 
     def __post_init__(self):
@@ -188,8 +190,6 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.clip_norm is not None and self.clip_norm < 0:
-            raise ValueError(f"clip_norm must be >= 0 or None, got {self.clip_norm}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
 
@@ -203,16 +203,13 @@ class Network:
         self.model = model
 
     def forward(self, x, train=False):
-        """Per-frame outputs for a (6, frames, bins) tensor or a batch of them."""
+        """Per-frame outputs (n, frames, d) for a batch (n, 6, frames, bins)."""
         x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 3
-        if single:
-            x = x[None]
         expected = (6, self.config.frames, self.config.freq_bins)
-        if x.shape[1:] != expected:
-            raise ValueError(f"input shape {x.shape[1:]} does not match {expected}")
-        y = self.model.forward(x, train=train)
-        return y[0] if single else y
+        if x.ndim != 4 or x.shape[1:] != expected:
+            raise ValueError(f"input shape {x.shape} does not match "
+                             f"(n, {', '.join(map(str, expected))})")
+        return self.model.forward(x, train=train)
 
 
 def build_network(config: NetworkConfig, formulation: Formulation, seed=0):
@@ -248,10 +245,8 @@ def loss_categorical(outputs, class_index, with_grad=False):
     the logits z; the fused form log(1 + e^z) - y z stays finite at any z, and
     its gradient sigmoid(z) - y never vanishes on a confidently wrong class."""
     z = np.asarray(outputs, dtype=np.float64)
-    if z.ndim == 2:
-        z = z[None]
     b, t, c = z.shape
-    idx = np.atleast_1d(np.asarray(class_index, dtype=np.int64))
+    idx = np.asarray(class_index, dtype=np.int64)
     y = np.zeros((b, 1, c))
     y[np.arange(b), 0, idx] = 1.0
     loss = (np.logaddexp(0.0, z) - y * z).sum() / (b * t)
@@ -264,10 +259,8 @@ def loss_cartesian(outputs, label, with_grad=False):
     """Mean over frames and components of the squared difference from the
     unit-vector label; outputs are not renormalized."""
     o = np.asarray(outputs, dtype=np.float64)
-    if o.ndim == 2:
-        o = o[None]
     b, t, _ = o.shape
-    lab = np.atleast_2d(np.asarray(label, dtype=np.float64))[:, None, :]
+    lab = np.asarray(label, dtype=np.float64)[:, None, :]
     diff = o - lab
     loss = (diff**2).sum() / (b * t * 3)
     if not with_grad:
@@ -280,10 +273,8 @@ def loss_haversine(outputs, label, with_grad=False):
     label (azimuth, elevation), with the haversine intermediate clamped to
     [1e-12, 1 - 1e-12] so the arcsin stays differentiable at the endpoints."""
     o = np.asarray(outputs, dtype=np.float64)
-    if o.ndim == 2:
-        o = o[None]
     b, t, _ = o.shape
-    lab = np.atleast_2d(np.asarray(label, dtype=np.float64))
+    lab = np.asarray(label, dtype=np.float64)
     az1, el1 = lab[:, None, 0], lab[:, None, 1]
     az2, el2 = o[:, :, 0], o[:, :, 1]
     h_raw = (
@@ -330,11 +321,9 @@ def labels_for(formulation: Formulation, unit_vectors):
 # ---------------------------------------------------------------------------
 
 def backward(net: Network, x, target):
-    """Loss and analytic parameter gradients for one (batch of) input(s);
-    raises if any gradient turns non-finite, naming the parameter."""
+    """Loss and analytic parameter gradients for a batch of inputs; raises if
+    any gradient turns non-finite, naming the parameter."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 3:
-        x = x[None]
     net.model.zero_grads()
     out = net.model.forward(x, train=True)
     loss, dout = _loss_for(net.formulation)(out, target, with_grad=True)
@@ -373,8 +362,6 @@ def grad_check(net: Network, x, target, return_skipped=False):
     one in the norm so skipping can only be neutral, never flattering.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 3:
-        x = x[None]
     loss_fn = _loss_for(net.formulation)
 
     def eval_loss():
@@ -425,14 +412,13 @@ class _AdamState:
         self.t = 0
 
 
-def _adam_step(net: Network, state: _AdamState, lr, clip_norm):
+def _adam_step(net: Network, state: _AdamState, lr):
     grads = net.model.named_grads()
-    if clip_norm is not None and clip_norm > 0:
-        total = np.sqrt(sum(float((g**2).sum()) for g in grads.values()))
-        if total > clip_norm:
-            scale = clip_norm / total
-            for g in grads.values():
-                g *= scale
+    total = np.sqrt(sum(float((g**2).sum()) for g in grads.values()))
+    if total > CLIP_NORM:
+        scale = CLIP_NORM / total
+        for g in grads.values():
+            g *= scale
     state.t += 1
     t = state.t
     params = net.model.named_params()
@@ -492,14 +478,14 @@ def train(features, unit_labels, formulation: Formulation, cfg: TrainConfig,
                     f"non-finite loss {loss} at epoch {epoch}, batch {batches}"
                 )
             if cfg.learning_rate > 0:
-                _adam_step(net, adam, cfg.learning_rate, cfg.clip_norm)
+                _adam_step(net, adam, cfg.learning_rate)
             running += float(loss)
             batches += 1
         entry = {"epoch": epoch, "train_loss": running / batches}
         if val_idx.size:
-            val_out = net.forward(features[val_idx], train=False)
+            val_out = _outputs(net, features[val_idx])
             entry["val_loss"] = float(loss_fn(val_out, labels[val_idx]))
-            preds = np.stack([decode_outputs(o, formulation) for o in val_out])
+            preds = decode_outputs(val_out, formulation)
             errs = np.degrees(great_circle(preds, unit_labels[val_idx]))
             entry["val_error_deg"] = float(errs.mean())
         history.append(entry)
@@ -511,7 +497,7 @@ def train(features, unit_labels, formulation: Formulation, cfg: TrainConfig,
 # ---------------------------------------------------------------------------
 
 def decode_outputs(outputs, formulation: Formulation):
-    """Aggregate per-frame outputs (frames x d) into one unit direction.
+    """Aggregate per-frame outputs (n, frames, d) into n unit directions.
 
     Cartesian: normalized mean vector. Spherical: circular-mean azimuth and
     arithmetic-mean elevation. Categorical: sigmoid scores of the logits
@@ -519,23 +505,37 @@ def decode_outputs(outputs, formulation: Formulation):
     """
     o = np.asarray(outputs, dtype=np.float64)
     if formulation.kind == "cartesian":
-        mean = o.mean(axis=0)
-        norm = np.linalg.norm(mean)
-        if norm < 1e-6:
-            raise ValueError("ambiguous prediction: mean output vector is near zero")
+        mean = o.mean(axis=1)
+        # a dot product per row, the bits np.linalg.norm gives one vector
+        norm = np.sqrt(mean[:, None] @ mean[:, :, None])[:, 0]
+        ambiguous = np.flatnonzero(norm < 1e-6)
+        if ambiguous.size:
+            raise ValueError(f"ambiguous prediction for samples {ambiguous.tolist()}: "
+                             "mean output vector is near zero")
         return mean / norm
     if formulation.kind == "spherical":
-        az = np.arctan2(np.sin(o[:, 0]).mean(), np.cos(o[:, 0]).mean())
-        el = o[:, 1].mean()
+        az = np.arctan2(np.sin(o[:, :, 0]).mean(axis=1), np.cos(o[:, :, 0]).mean(axis=1))
+        el = o[:, :, 1].mean(axis=1)
         return to_cartesian(az, el)
-    scores = nn._sigmoid(o).sum(axis=0)
-    return formulation.grid.directions[int(np.argmax(scores))]
+    scores = nn._sigmoid(o).sum(axis=1)
+    return formulation.grid.directions[np.argmax(scores, axis=1)]
+
+
+def _outputs(net: Network, x):
+    """Inference-mode per-frame outputs of a batch, run in chunks of as many
+    samples as fit ``PREDICT_ELEMENTS`` input elements."""
+    chunk = max(1, PREDICT_ELEMENTS // (6 * net.config.frames * net.config.freq_bins))
+    return np.concatenate([net.forward(x[s : s + chunk]) for s in range(0, len(x), chunk)])
+
+
+def predict(net: Network, x):
+    """Unit directions (n, 3) for a batch of feature tensors (n, 6, frames, bins)."""
+    return decode_outputs(_outputs(net, x), net.formulation)
 
 
 def predict_sample(net: Network, feature_tensor):
-    """Direction estimate for one full feature tensor (6, frames, bins)."""
-    out = net.forward(feature_tensor, train=False)
-    return decode_outputs(out, net.formulation)
+    """Direction estimate for one feature tensor (6, frames, bins)."""
+    return predict(net, np.asarray(feature_tensor)[None])[0]
 
 
 def predict_window(net: Network, window):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .acoustics import image_source_paths, trace_paths
-from .estimator import NetworkConfig, TrainConfig, predict_sample, train
+from .estimator import NetworkConfig, TrainConfig, predict, train
 from .features import (
     babble_noise,
     convolve_foa,
@@ -40,6 +40,7 @@ __all__ = [
     "TrackResult",
     "sample_rng",
     "propagate",
+    "check_receiver_clearance",
     "render_dataset",
     "load_manifest",
     "load_dataset",
@@ -137,6 +138,19 @@ def propagate(scene, cfg: RenderConfig, rng):
     return paths.select(np.rint(paths.delays * cfg.sample_rate) < cfg.ir_length)
 
 
+def check_receiver_clearance(scenes, cfg: RenderConfig):
+    """Refuse, before any scene is traced, every scene whose source lies
+    inside the tracer's receiver sphere, naming each with its distance."""
+    if cfg.method != "trace":
+        return
+    distances = [float(np.linalg.norm(s.source - s.listener)) for s in scenes]
+    close = [f"{i} ({d:.3f} m)" for i, d in enumerate(distances)
+             if d <= cfg.receiver_radius]
+    if close:
+        raise ValueError(f"source inside the {cfg.receiver_radius} m receiver sphere "
+                         f"in scene {', '.join(close)}")
+
+
 def _speech_clips(speech_dir, sample_rate):
     if speech_dir is None:
         return None
@@ -215,6 +229,7 @@ def render_dataset(scenes, out_dir, cfg: RenderConfig, seed=0, speech_dir=None,
     but wall time. Returns the record list; the manifest is written to
     out_dir/manifest.jsonl.
     """
+    check_receiver_clearance(scenes, cfg)
     clips = _speech_clips(speech_dir, cfg.sample_rate)
     if clips is None and not allow_synthetic_speech:
         raise ValueError(
@@ -399,8 +414,7 @@ def compare_methods(records_image, dir_image, records_trace, dir_trace,
         for formulation in formulations:
             net, _ = train(x_train, y_train, formulation, train_cfg,
                            config=net_config)
-            preds = np.stack([predict_sample(net, x) for x in x_test])
-            errs = angular_error(preds, y_test)
+            errs = angular_error(predict(net, x_test), y_test)
             rows.append(
                 ComparisonRow(
                     method=method,

@@ -4,7 +4,7 @@ its measured numbers (run with ``pytest tests/test_acceptance.py -v -s``).
 The end-to-end experiment renders 500 low-reverb samples once (module-scoped
 fixture) and trains all three formulations on it; later criteria reuse those
 artifacts. Budget on a laptop CPU: the whole module stays well under the sum
-of the per-criterion limits (dominated by the ~10-minute end-to-end run).
+of the per-criterion limits (dominated by the ~4-minute end-to-end run).
 """
 
 import os
@@ -31,7 +31,7 @@ from ambidoa.estimator import (
     build_network,
     grad_check,
     param_count,
-    predict_sample,
+    predict,
     save_model,
     train,
 )
@@ -124,10 +124,7 @@ def _validation_errors(dataset, entry):
     rng = np.random.default_rng(TRAIN_SEED + 0x5EED)
     order = rng.permutation(len(dataset["x"]))
     val = order[: int(round(len(dataset["x"]) * 0.1))]
-    preds = np.stack(
-        [predict_sample(entry["net"], xi) for xi in dataset["x"][val]]
-    )
-    return angular_error(preds, dataset["y"][val])
+    return angular_error(predict(entry["net"], dataset["x"][val]), dataset["y"][val])
 
 
 # ---------------------------------------------------------------------------

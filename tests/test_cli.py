@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ambidoa.acoustics import load_scenes
-from ambidoa.cli import main
+from ambidoa.cli import build_parser, main
+from ambidoa.estimator import TrainConfig
 from ambidoa.evaluate import RenderConfig, propagate, sample_rng
 from ambidoa.foa import encode_plane_wave, encode_srir, read_wav, write_wav
 from ambidoa.geometry import to_cartesian
@@ -27,6 +28,27 @@ class TestExitCodes:
 
     def test_runtime_error_is_two(self, tmp_path):
         assert run(["music", "--input", str(tmp_path / "missing.wav")]) == 2
+
+
+def test_flag_defaults_are_the_config_defaults():
+    parser = build_parser()
+    render = vars(parser.parse_args(["render", "--scenes", "s.json", "--out", "o"]))
+    simulate = vars(parser.parse_args(["simulate", "--count", "1", "--out", "o"]))
+    cfg = RenderConfig()
+    for flag, field in (("method", "method"), ("max_order", "max_order"),
+                        ("rays", "n_rays"), ("max_bounces", "max_bounces"),
+                        ("receiver_radius", "receiver_radius")):
+        assert render[flag] == simulate[flag] == getattr(cfg, field)
+    assert (render["window"], render["frames"]) == (cfg.window, cfg.frames)
+    assert simulate["ir_seconds"] == cfg.ir_seconds
+    train = vars(parser.parse_args(["train", "--manifest", "m", "--formulation",
+                                    "cartesian", "--out", "o"]))
+    compare = vars(parser.parse_args(["compare", "--image-manifest", "a",
+                                      "--trace-manifest", "b"]))
+    tcfg = TrainConfig()
+    for flag in ("epochs", "batch_size"):
+        assert train[flag] == compare[flag] == getattr(tcfg, flag)
+    assert train["learning_rate"] == tcfg.learning_rate
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +90,16 @@ class TestPipeline:
             np.testing.assert_array_equal(
                 written.channels, expected.channels.astype(np.float32)
             )
+
+    def test_traced_irs_refuse_a_source_in_the_receiver_sphere(self, tmp_path, capsys):
+        # this draw puts scene 2's source 0.158 m from its listener
+        sim = tmp_path / "sim"
+        assert run([
+            "simulate", "--count", "8", "--seed", "113", "--method", "trace",
+            "--write-irs", "--out", str(sim),
+        ]) == 2
+        assert "receiver sphere in scene 2 (0.158 m)" in capsys.readouterr().err
+        assert not sim.exists()
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "2.5", ""])
     def test_bad_thread_count_is_refused(self, pipeline_dir, tmp_path, monkeypatch,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambidoa import nn
+from ambidoa import estimator, nn
 from ambidoa.estimator import (
     Formulation,
     Network,
@@ -26,6 +26,7 @@ from ambidoa.estimator import (
     loss_categorical,
     loss_haversine,
     param_count,
+    predict,
     predict_sample,
     predict_window,
     save_model,
@@ -88,14 +89,16 @@ class TestArchitecture:
         head = net.model.layers[-1]
         head.w[...] = 0.0
         head.b[...] = 0.0
-        out = net.forward(np.zeros((6, TINY.frames, TINY.freq_bins)))
+        out = net.forward(np.zeros((1, 6, TINY.frames, TINY.freq_bins)))
         np.testing.assert_array_equal(out, 0.0)
         assert loss_categorical(out, [0]) == pytest.approx(len(GRID30) * np.log(2))
 
     def test_shape_mismatch_rejected(self):
         net = build_network(TINY, Formulation("cartesian"), seed=0)
-        with pytest.raises(ValueError):
-            net.forward(np.zeros((6, 5, 5)))
+        # a batch is the only shape: one unbatched sample is refused as well
+        for shape in ((1, 6, 5, 5), (6, 5, 5), (6, TINY.frames, TINY.freq_bins)):
+            with pytest.raises(ValueError, match=r"\(n, 6, 3, 16\)"):
+                net.forward(np.zeros(shape))
 
     def test_trunks_share_initialization_across_heads(self):
         nets = [
@@ -284,7 +287,6 @@ class TestTraining:
     (dict(val_fraction=1.0), "val_fraction"),
     (dict(epochs=0), "epochs"),
     (dict(epochs=-3), "epochs"),
-    (dict(clip_norm=-1), "clip_norm"),
 ])
 def test_train_config_rejects_bad_values(kwargs, field):
     with pytest.raises(ValueError, match=field):
@@ -292,29 +294,49 @@ def test_train_config_rejects_bad_values(kwargs, field):
 
 
 def test_train_config_edge_values_stay_valid():
-    TrainConfig(val_fraction=0.0, epochs=1, clip_norm=None)
-    TrainConfig(clip_norm=0.0)
+    TrainConfig(val_fraction=0.0, epochs=1)
+
+
+def decode_one(out, form):
+    """Direction decoded from one sample's per-frame outputs (frames, d)."""
+    return decode_outputs(np.asarray(out)[None], form)[0]
 
 
 class TestDecoding:
     def test_identical_frames_decode_to_themselves(self):
         u = np.array([0.0, 0.6, 0.8])
         out = np.tile(u, (25, 1))
-        np.testing.assert_allclose(decode_outputs(out, Formulation("cartesian")), u)
+        np.testing.assert_allclose(decode_one(out, Formulation("cartesian")), u)
 
     def test_cartesian_mean_of_two_frames(self):
         out = np.array([[1.0, 0, 0], [0, 1.0, 0]])
-        got = decode_outputs(out, Formulation("cartesian"))
+        got = decode_one(out, Formulation("cartesian"))
         np.testing.assert_allclose(got, [np.sqrt(2) / 2, np.sqrt(2) / 2, 0], atol=1e-12)
 
     def test_cartesian_scale_invariant_and_ambiguity_error(self):
         out = np.array([[0.1, 0.2, 0.0], [0.3, 0.0, 0.1]])
-        a = decode_outputs(out, Formulation("cartesian"))
-        b = decode_outputs(100.0 * out, Formulation("cartesian"))
+        a = decode_one(out, Formulation("cartesian"))
+        b = decode_one(100.0 * out, Formulation("cartesian"))
         np.testing.assert_allclose(a, b, atol=1e-12)
         with pytest.raises(ValueError, match="ambiguous"):
-            decode_outputs(np.array([[1e-9, 0, 0], [-1e-9, 0, 0]]),
-                           Formulation("cartesian"))
+            decode_one(np.array([[1e-9, 0, 0], [-1e-9, 0, 0]]), Formulation("cartesian"))
+
+    def test_ambiguous_sample_is_named(self):
+        rng = np.random.default_rng(8)
+        out = rng.normal(0.0, 1.0, (4, 3, 3))
+        out[2] = [[1e-9, 0, 0], [-1e-9, 0, 0], [0, 1e-9, -1e-9]]
+        with pytest.raises(ValueError, match=r"ambiguous prediction for samples \[2\]"):
+            decode_outputs(out, Formulation("cartesian"))
+
+    @pytest.mark.parametrize("form", [
+        Formulation("cartesian"), Formulation("spherical"),
+        Formulation("categorical", GRID30)], ids=lambda f: f.kind)
+    def test_batch_decodes_as_its_rows(self, form):
+        out = np.random.default_rng(9).normal(0.0, 2.0, (7, 25, form.out_dim))
+        batch = decode_outputs(out, form)
+        assert batch.shape == (7, 3)
+        for row, got in zip(out, batch):
+            np.testing.assert_array_equal(got, decode_one(row, form))
 
     def test_categorical_score_summation(self):
         # the logits sum higher on class 3 (7 vs 2), the sigmoid scores on
@@ -323,7 +345,7 @@ class TestDecoding:
         out = np.zeros((2, len(GRID30)))
         out[0, 3], out[0, 7] = 10.0, 1.0
         out[1, 3], out[1, 7] = -3.0, 1.0
-        got = decode_outputs(out, form)
+        got = decode_one(out, form)
         np.testing.assert_array_equal(got, GRID30.directions[7])
 
     def test_categorical_argmax_of_summed_sigmoids(self):
@@ -331,13 +353,13 @@ class TestDecoding:
         rng = np.random.default_rng(4)
         out = rng.normal(0.0, 3.0, (25, len(GRID30)))
         scores = (1.0 / (1.0 + np.exp(-out))).sum(axis=0)
-        got = decode_outputs(out, form)
+        got = decode_one(out, form)
         np.testing.assert_array_equal(got, GRID30.directions[np.argmax(scores)])
 
     def test_spherical_circular_mean_handles_seam(self):
         # naive azimuth averaging of +/- (pi - 0.1) would point backwards
         out = np.array([[np.pi - 0.1, 0.0], [-(np.pi - 0.1), 0.0]])
-        got = decode_outputs(out, Formulation("spherical"))
+        got = decode_one(out, Formulation("spherical"))
         np.testing.assert_allclose(got, [-1.0, 0.0, 0.0], atol=1e-9)
 
     def test_predict_window_on_plane_wave(self):
@@ -350,7 +372,7 @@ class TestDecoding:
         assert direction.shape == (3,)
         assert np.linalg.norm(direction) == pytest.approx(1.0)
         for frames in (24, 26):
-            with pytest.raises(ValueError, match=r"\(6, 25, 129\)"):
+            with pytest.raises(ValueError, match=r"\(n, 6, 25, 129\)"):
                 predict_window(net, replace(spec, bins=spec.bins[:, :frames]))
 
     def test_predict_window_matches_sample_on_the_same_slice(self):
@@ -364,6 +386,46 @@ class TestDecoding:
             window = replace(spec, bins=spec.bins[:, start : start + 25])
             assert np.array_equal(predict_window(net, window),
                                   predict_sample(net, feats[:, start : start + 25]))
+
+
+class TestPredict:
+    FORMS = [Formulation("cartesian"), Formulation("spherical"),
+             Formulation("categorical", GRID30)]
+
+    @pytest.mark.parametrize("form", FORMS, ids=lambda f: f.kind)
+    def test_chunked_batch_agrees_with_single_samples(self, form, monkeypatch):
+        net = build_network(TINY, form, seed=4)
+        chunk = estimator.PREDICT_ELEMENTS // (6 * TINY.frames * TINY.freq_bins)
+        x = tiny_input(2 * chunk + 1, seed=5)
+        sizes = []
+        forward = Network.forward
+
+        def counted(self, xb, train=False):
+            sizes.append(len(xb))
+            return forward(self, xb, train)
+
+        monkeypatch.setattr(Network, "forward", counted)
+        got = predict(net, x)
+        assert sizes == [chunk, chunk, 1]
+        monkeypatch.undo()
+        assert got.shape == (2 * chunk + 1, 3)
+        # every sample at both ends of each chunk, and a spread in between
+        picks = sorted({0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk,
+                        *range(0, 2 * chunk + 1, 97)})
+        one = np.stack([predict_sample(net, x[i]) for i in picks])
+        err = np.degrees(great_circle(got[picks], one))
+        assert err.max() < 1e-9
+
+    @pytest.mark.parametrize("form", FORMS, ids=lambda f: f.kind)
+    def test_validation_error_is_the_error_of_predict(self, form):
+        from ambidoa.evaluate import angular_error
+
+        x, u = TestTraining()._toy_dataset(n=30, seed=6)
+        cfg = TrainConfig(epochs=2, batch_size=8, seed=13, val_fraction=0.2)
+        net, history = train(x, u, form, cfg, config=TINY)
+        order = np.random.default_rng(cfg.seed + 0x5EED).permutation(len(x))
+        val = order[: int(round(len(x) * cfg.val_fraction))]
+        assert history[-1]["val_error_deg"] == angular_error(predict(net, x[val]), u[val]).mean()
 
 
 class TestParamCount:
@@ -390,7 +452,7 @@ class TestCheckpoints:
     def test_round_trip_preserves_predictions(self, tmp_path):
         form = Formulation("categorical", GRID30)
         net = build_network(TINY, form, seed=9)
-        x = tiny_input(1, seed=42)[0]
+        x = tiny_input(1, seed=42)
         before = net.forward(x)
         path = tmp_path / "model.adom"
         save_model(path, net)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ambidoa import evaluate
-from ambidoa.acoustics import PathSet, sample_scenes
+from ambidoa.acoustics import PathSet, RoomConfig, Scene, sample_scenes
 from ambidoa.estimator import (
     Formulation,
     NetworkConfig,
@@ -106,6 +106,19 @@ class TestRenderDataset:
         scenes = sample_scenes(1, seed=1, pairs_per_room=1, absorption=0.8)
         with pytest.raises(ValueError, match=r"talker\.wav: sample rate 48000 != 16000"):
             render_dataset(scenes, tmp_path / "out", FAST_RENDER, speech_dir=str(speech))
+
+    def test_trace_refuses_close_pairs_before_rendering_any(self, tmp_path):
+        room = RoomConfig(dims=np.array([5.0, 4.0, 3.0]), absorption=0.5)
+        listener = np.array([2.0, 2.0, 1.5])
+        scenes = [Scene(room, np.array([4.0, 1.0, 1.0]), listener),
+                  Scene(room, listener + [0.1, 0.2, 0.0], listener),
+                  Scene(room, np.array([1.0, 3.0, 2.0]), listener)]
+        cfg = RenderConfig(method="trace", n_rays=500, max_bounces=5)
+        with pytest.raises(ValueError, match=r"receiver sphere in scene 1 \(0\.224 m\)$"):
+            render_dataset(scenes, tmp_path / "out", cfg, seed=1)
+        assert not list(tmp_path.rglob("*.adoa"))
+        # the image-source model has no receiver sphere and renders them all
+        assert len(render_dataset(scenes, tmp_path / "img", FAST_RENDER, seed=1)) == 3
 
     def test_record_json_round_trip(self):
         rec = SampleRecord(
