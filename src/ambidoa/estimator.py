@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -97,6 +97,11 @@ class NetworkConfig:
     freq_bins: int = 513
 
     def __post_init__(self):
+        for name in ("hidden", "fc_width", "frames", "freq_bins"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.lstm_layers < 0:
+            raise ValueError(f"lstm_layers must be >= 0, got {self.lstm_layers}")
         if len(self.conv_channels) != len(self.pool_factors):
             raise ValueError("conv_channels and pool_factors must have equal length")
         for name in ("conv_channels", "pool_factors"):
@@ -151,28 +156,6 @@ class NetworkConfig:
         ch, _, bins = self.stage_shapes()[-1]
         return ch * bins
 
-    def to_dict(self):
-        return {
-            "conv_channels": list(self.conv_channels),
-            "pool_factors": list(self.pool_factors),
-            "hidden": self.hidden,
-            "lstm_layers": self.lstm_layers,
-            "fc_width": self.fc_width,
-            "frames": self.frames,
-            "freq_bins": self.freq_bins,
-        }
-
-    @staticmethod
-    def from_dict(d):
-        return NetworkConfig(
-            conv_channels=tuple(d["conv_channels"]),
-            pool_factors=tuple(d["pool_factors"]),
-            hidden=d["hidden"],
-            lstm_layers=d["lstm_layers"],
-            fc_width=d["fc_width"],
-            frames=d["frames"],
-            freq_bins=d["freq_bins"],
-        )
 
 
 @dataclass
@@ -195,12 +178,23 @@ class TrainConfig:
 
 
 class Network:
-    """Layer stack with the topology and output head it was built for."""
+    """The CRNN's layers, with the topology and output head they were built for.
 
-    def __init__(self, config, formulation, model):
+    ``params``, ``grads`` and ``buffers`` are flat maps from
+    ``"{index}.{LayerType}.{name}"`` to every layer's arrays, in layer order:
+    the one registry that the optimizer, the gradient check and checkpoints
+    read.
+    """
+
+    def __init__(self, config, formulation, layers):
         self.config = config
         self.formulation = formulation
-        self.model = model
+        self.layers = layers
+        self.params, self.grads, self.buffers = (
+            {f"{k}.{type(layer).__name__}.{name}": arr
+             for k, layer in enumerate(layers)
+             for name, arr in getattr(layer, field).items()}
+            for field in ("params", "grads", "buffers"))
 
     def forward(self, x, train=False):
         """Per-frame outputs (n, frames, d) for a batch (n, 6, frames, bins)."""
@@ -209,7 +203,9 @@ class Network:
         if x.ndim != 4 or x.shape[1:] != expected:
             raise ValueError(f"input shape {x.shape} does not match "
                              f"(n, {', '.join(map(str, expected))})")
-        return self.model.forward(x, train=train)
+        for layer in self.layers:
+            x = layer.forward(x, train=train)
+        return x
 
 
 def build_network(config: NetworkConfig, formulation: Formulation, seed=0):
@@ -232,7 +228,7 @@ def build_network(config: NetworkConfig, formulation: Formulation, seed=0):
     layers.append(nn.TimeDense(d, config.fc_width, rng))
     layers.append(nn.ReLU())
     layers.append(nn.TimeDense(config.fc_width, formulation.out_dim, rng))
-    return Network(config, formulation, nn.Sequential(layers))
+    return Network(config, formulation, layers)
 
 
 # ---------------------------------------------------------------------------
@@ -323,24 +319,24 @@ def labels_for(formulation: Formulation, unit_vectors):
 def backward(net: Network, x, target):
     """Loss and analytic parameter gradients for a batch of inputs; raises if
     any gradient turns non-finite, naming the parameter."""
-    x = np.asarray(x, dtype=np.float64)
-    net.model.zero_grads()
-    out = net.model.forward(x, train=True)
+    for g in net.grads.values():
+        g[...] = 0.0
+    out = net.forward(x, train=True)
     loss, dout = _loss_for(net.formulation)(out, target, with_grad=True)
-    net.model.backward(dout)
-    grads = net.model.named_grads()
-    for name, g in grads.items():
+    for layer in reversed(net.layers):
+        dout = layer.backward(dout)
+    for name, g in net.grads.items():
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in {name}")
-    return loss, grads
+    return loss, net.grads
 
 
-def _activation_signature(model):
+def _activation_signature(net):
     """Active-piece fingerprint of the last forward pass: ReLU sign masks and
     max-pool argmax choices. Central differences estimate the derivative only
     while both endpoint evaluations stay on the same piece."""
     parts = []
-    for layer in model.layers:
+    for layer in net.layers:
         if isinstance(layer, nn.ReLU):
             parts.append(layer._mask.tobytes())
         elif isinstance(layer, nn.MaxPoolFreq):
@@ -365,13 +361,13 @@ def grad_check(net: Network, x, target, return_skipped=False):
     loss_fn = _loss_for(net.formulation)
 
     def eval_loss():
-        out = net.model.forward(x, train=True)
-        return loss_fn(out, target), _activation_signature(net.model)
+        out = net.forward(x, train=True)
+        return loss_fn(out, target), _activation_signature(net)
 
     _, analytic = backward(net, x, target)
     worst = 0.0
     skipped = 0
-    for name, param in net.model.named_params().items():
+    for name, param in net.params.items():
         ga = analytic[name]
         numeric = ga.copy()  # skipped entries contribute zero error
         flat = param.reshape(-1)
@@ -413,7 +409,7 @@ class _AdamState:
 
 
 def _adam_step(net: Network, state: _AdamState, lr):
-    grads = net.model.named_grads()
+    grads = net.grads
     total = np.sqrt(sum(float((g**2).sum()) for g in grads.values()))
     if total > CLIP_NORM:
         scale = CLIP_NORM / total
@@ -421,8 +417,7 @@ def _adam_step(net: Network, state: _AdamState, lr):
             g *= scale
     state.t += 1
     t = state.t
-    params = net.model.named_params()
-    for name, p in params.items():
+    for name, p in net.params.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
@@ -460,7 +455,7 @@ def train(features, unit_labels, formulation: Formulation, cfg: TrainConfig,
         raise ValueError("no training samples left after validation split")
 
     loss_fn = _loss_for(formulation)
-    adam = _AdamState(net.model.named_params())
+    adam = _AdamState(net.params)
     history = []
     for epoch in range(cfg.epochs):
         perm = train_idx[rng.permutation(train_idx.size)]
@@ -546,7 +541,7 @@ def predict_window(net: Network, window):
 
 def param_count(net: Network):
     """Exact number of trainable scalars."""
-    return int(sum(p.size for p in net.model.named_params().values()))
+    return int(sum(p.size for p in net.params.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -554,10 +549,9 @@ def param_count(net: Network):
 # ---------------------------------------------------------------------------
 
 def save_model(path, net: Network):
-    params = net.model.named_params()
-    buffers = net.model.named_buffers()
+    params, buffers = net.params, net.buffers
     meta = {
-        "config": net.config.to_dict(),
+        "config": asdict(net.config),
         "formulation": net.formulation.kind,
         "grid_resolution": (
             net.formulation.grid.resolution
@@ -579,6 +573,8 @@ def save_model(path, net: Network):
 
 
 def load_model(path):
+    """The network :func:`save_model` wrote to ``path``. A malformed header,
+    config blob or payload raises ValueError naming the file."""
     from .geometry import build_grid
 
     with open(path, "rb") as f:
@@ -594,22 +590,28 @@ def load_model(path):
         if len(blob) < blob_len:
             raise ValueError(f"{path}: config blob holds {len(blob)} bytes, "
                              f"not the declared {blob_len}")
-        meta = json.loads(blob.decode("ascii"))
         payload = f.read()
 
-    config = NetworkConfig.from_dict(meta["config"])
-    if meta["formulation"] == "categorical":
-        formulation = Formulation("categorical", build_grid(meta["grid_resolution"]))
-    else:
-        formulation = Formulation(meta["formulation"])
-    net = build_network(config, formulation, seed=0)
+    try:
+        meta = json.loads(blob.decode("ascii"))
+        saved = meta["config"]
+        names = sorted(f.name for f in fields(NetworkConfig))
+        if not isinstance(saved, dict) or sorted(saved) != names:
+            raise ValueError(f"config keys are not {names}")
+        # JSON holds the tuple fields as lists
+        config = NetworkConfig(**{k: tuple(v) if isinstance(v, list) else v
+                                  for k, v in saved.items()})
+        kind = meta["formulation"]
+        grid = build_grid(meta["grid_resolution"]) if kind == "categorical" else None
+        net = build_network(config, Formulation(kind, grid), seed=0)
+        shapes = {field: meta[field] for field in ("params", "buffers")}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad config blob: {exc!r}") from exc
 
-    params = net.model.named_params()
-    buffers = net.model.named_buffers()
-    for field, named in (("params", params), ("buffers", buffers)):
-        if meta[field] != [[k, list(v.shape)] for k, v in named.items()]:
+    for field, named in (("params", net.params), ("buffers", net.buffers)):
+        if shapes[field] != [[k, list(v.shape)] for k, v in named.items()]:
             raise ValueError(f"{path}: saved {field} shapes do not match its config")
-    arrays = list(params.values()) + list(buffers.values())
+    arrays = list(net.params.values()) + list(net.buffers.values())
     expected = 8 * sum(v.size for v in arrays)
     if len(payload) != expected:
         raise ValueError(f"{path}: payload holds {len(payload)} bytes, not {expected}")

@@ -49,12 +49,12 @@ SPEECH_SHELF_HZ = 500.0  # spectral envelope corner: flat below, -6 dB/oct above
 
 @dataclass
 class Spectrogram:
-    """Complex 4 x frames x bins tensor; bins = window // 2 + 1."""
+    """Complex 4 x frames x bins tensor; bins = window // 2 + 1, and frames
+    hop by window // 2 (see :func:`stft`)."""
 
     bins: np.ndarray
     sample_rate: int
     window: int = 1024
-    hop: int = 512
 
     def __post_init__(self):
         self.bins = np.asarray(self.bins, dtype=np.complex128)
@@ -229,7 +229,6 @@ def stft(signal: FoaSignal, frames, window=1024):
         bins=np.fft.rfft(segments, axis=2),
         sample_rate=signal.sample_rate,
         window=window,
-        hop=hop,
     )
 
 

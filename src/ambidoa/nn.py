@@ -11,6 +11,8 @@ generator so a fixed seed reproduces parameters bit for bit.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 import numpy as np
 
 __all__ = [
@@ -21,7 +23,6 @@ __all__ = [
     "FrameFlatten",
     "BiLSTM",
     "TimeDense",
-    "Sequential",
 ]
 
 BN_MOMENTUM = 0.9
@@ -43,22 +44,18 @@ def _sigmoid(x):
 
 
 class Layer:
-    """Base: parameter-free layer. ``params``/``grads`` map names to arrays
-    that live for the network's lifetime, so the optimizer can hold state
-    keyed by identity."""
+    """Base: parameter-free layer. ``params`` maps each trainable array's name
+    to the array and ``grads`` maps the same names to same-shaped gradient
+    accumulators; ``buffers`` holds untrained state a checkpoint keeps. The
+    arrays live for the network's lifetime, so an optimizer can hold state
+    keyed by name."""
 
-    def params(self):
-        return {}
+    params = grads = buffers = MappingProxyType({})
 
-    def grads(self):
-        return {}
-
-    def buffers(self):
-        return {}
-
-    def zero_grads(self):
-        for g in self.grads().values():
-            g[...] = 0.0
+    def _declare(self, **params):
+        """Name each trainable array once; its gradient accumulator follows."""
+        self.params = params
+        self.grads = {name: np.zeros_like(p) for name, p in params.items()}
 
 
 class Conv2d(Layer):
@@ -68,20 +65,11 @@ class Conv2d(Layer):
     time, so the buffer never holds the whole batch."""
 
     def __init__(self, c_in, c_out, rng):
-        self.c_in = c_in
         self.c_out = c_out
         fan_in = c_in * 9
-        self.w = _uniform_init(rng, (c_out, c_in, 3, 3), fan_in)
-        self.b = _uniform_init(rng, (c_out,), fan_in)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
+        self._declare(w=_uniform_init(rng, (c_out, c_in, 3, 3), fan_in),
+                      b=_uniform_init(rng, (c_out,), fan_in))
         self._xpad = None
-
-    def params(self):
-        return {"w": self.w, "b": self.b}
-
-    def grads(self):
-        return {"w": self.dw, "b": self.db}
 
     @staticmethod
     def _im2col(xpad_i, cols):
@@ -96,22 +84,22 @@ class Conv2d(Layer):
         b, c, t, f = x.shape
         xpad = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
         self._xpad = xpad
-        w = self.w.reshape(self.c_out, c * 9)
+        w = self.params["w"].reshape(self.c_out, c * 9)
         cols = np.empty((c, 3, 3, t, f))
         out = np.empty((b, self.c_out, t, f))
         for i in range(b):
             self._im2col(xpad[i], cols)
             np.matmul(w, cols.reshape(c * 9, t * f),
                       out=out[i].reshape(self.c_out, t * f))
-        out += self.b[None, :, None, None]
+        out += self.params["b"][None, :, None, None]
         return out
 
     def backward(self, dy):
         xpad = self._xpad
         b, c, tp, fp = xpad.shape
         t, f = tp - 2, fp - 2
-        w = self.w.reshape(self.c_out, c * 9)
-        dw = self.dw.reshape(self.c_out, c * 9)  # a view: += accumulates into dw
+        w = self.params["w"].reshape(self.c_out, c * 9)
+        dw = self.grads["w"].reshape(self.c_out, c * 9)  # a view: += accumulates
         cols = np.empty((c, 3, 3, t, f))
         dxpad = np.zeros_like(xpad)
         for i in range(b):
@@ -122,7 +110,7 @@ class Conv2d(Layer):
             for dt in range(3):
                 for df in range(3):
                     dxpad[i, :, dt : dt + t, df : df + f] += dcols[:, dt, df]
-        self.db += dy.sum(axis=(0, 2, 3))
+        self.grads["b"] += dy.sum(axis=(0, 2, 3))
         return dxpad[:, :, 1:-1, 1:-1]
 
 
@@ -135,41 +123,29 @@ class BatchNorm2d(Layer):
     """
 
     def __init__(self, channels):
-        self.gamma = np.ones(channels)
-        self.beta = np.zeros(channels)
-        self.dgamma = np.zeros(channels)
-        self.dbeta = np.zeros(channels)
-        self.run_mean = np.zeros(channels)
-        self.run_var = np.ones(channels)
+        self._declare(gamma=np.ones(channels), beta=np.zeros(channels))
+        self.buffers = {"run_mean": np.zeros(channels), "run_var": np.ones(channels)}
         self._cache = None
-
-    def params(self):
-        return {"gamma": self.gamma, "beta": self.beta}
-
-    def grads(self):
-        return {"gamma": self.dgamma, "beta": self.dbeta}
-
-    def buffers(self):
-        return {"run_mean": self.run_mean, "run_var": self.run_var}
 
     def forward(self, x, train=False):
         b, c, t, f = x.shape
         xv = x.reshape(b, c, t * f)
+        run_mean, run_var = self.buffers["run_mean"], self.buffers["run_var"]
         if train:
             n = b * t * f
             mean = np.einsum("bcn->c", xv) / n
             xhat = xv - mean[:, None]
             var = np.einsum("bcn,bcn->c", xhat, xhat) / n
-            self.run_mean[...] = BN_MOMENTUM * self.run_mean + (1 - BN_MOMENTUM) * mean
-            self.run_var[...] = BN_MOMENTUM * self.run_var + (1 - BN_MOMENTUM) * var
+            run_mean[...] = BN_MOMENTUM * run_mean + (1 - BN_MOMENTUM) * mean
+            run_var[...] = BN_MOMENTUM * run_var + (1 - BN_MOMENTUM) * var
         else:
-            mean, var = self.run_mean, self.run_var
+            mean, var = run_mean, run_var
             xhat = xv - mean[:, None]
         inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv[:, None]
         self._cache = (xhat, inv, train)
-        out = xhat * self.gamma[:, None]
-        out += self.beta[:, None]
+        out = xhat * self.params["gamma"][:, None]
+        out += self.params["beta"][:, None]
         return out.reshape(b, c, t, f)
 
     def backward(self, dy):
@@ -178,9 +154,9 @@ class BatchNorm2d(Layer):
         dyv = dy.reshape(b, c, t * f)
         sum_dy = np.einsum("bcn->c", dyv)
         sum_dyx = np.einsum("bcn,bcn->c", dyv, xhat)
-        self.dgamma += sum_dyx
-        self.dbeta += sum_dy
-        scale = self.gamma * inv
+        self.grads["gamma"] += sum_dyx
+        self.grads["beta"] += sum_dy
+        scale = self.params["gamma"] * inv
         dx = dyv * scale[:, None]
         if train:
             n = b * t * f
@@ -238,17 +214,14 @@ class FrameFlatten(Layer):
 
 
 class _LSTMDirection:
-    """One direction of an LSTM layer; gate order (input, forget, cell, output)."""
+    """One direction of an LSTM layer, computing on the ``{w,u,b}_{side}``
+    arrays of its BiLSTM's ``params`` and ``grads``; gate order (input,
+    forget, cell, output)."""
 
-    def __init__(self, d_in, hidden, rng):
-        h = hidden
-        self.w = _uniform_init(rng, (4 * h, d_in), d_in)
-        self.u = _uniform_init(rng, (4 * h, h), h)
-        self.b = _uniform_init(rng, (4 * h,), h)
-        self.dw = np.zeros_like(self.w)
-        self.du = np.zeros_like(self.u)
-        self.db = np.zeros_like(self.b)
-        self.hidden = h
+    def __init__(self, params, grads, side):
+        self.w, self.u, self.b = (params[f"{k}_{side}"] for k in "wub")
+        self.dw, self.du, self.db = (grads[f"{k}_{side}"] for k in "wub")
+        self.hidden = self.u.shape[1]
 
     def forward(self, x):
         b, t, _ = x.shape
@@ -308,21 +281,16 @@ class BiLSTM(Layer):
     """Bidirectional LSTM; output concatenates both directions per frame."""
 
     def __init__(self, d_in, hidden, rng):
-        self.fwd = _LSTMDirection(d_in, hidden, rng)
-        self.bwd = _LSTMDirection(d_in, hidden, rng)
+        h = hidden
+        params = {}
+        for side in ("fwd", "bwd"):
+            params[f"w_{side}"] = _uniform_init(rng, (4 * h, d_in), d_in)
+            params[f"u_{side}"] = _uniform_init(rng, (4 * h, h), h)
+            params[f"b_{side}"] = _uniform_init(rng, (4 * h,), h)
+        self._declare(**params)
+        self.fwd = _LSTMDirection(self.params, self.grads, "fwd")
+        self.bwd = _LSTMDirection(self.params, self.grads, "bwd")
         self.hidden = hidden
-
-    def params(self):
-        return {
-            "w_fwd": self.fwd.w, "u_fwd": self.fwd.u, "b_fwd": self.fwd.b,
-            "w_bwd": self.bwd.w, "u_bwd": self.bwd.u, "b_bwd": self.bwd.b,
-        }
-
-    def grads(self):
-        return {
-            "w_fwd": self.fwd.dw, "u_fwd": self.fwd.du, "b_fwd": self.fwd.db,
-            "w_bwd": self.bwd.dw, "u_bwd": self.bwd.du, "b_bwd": self.bwd.db,
-        }
 
     def forward(self, x, train=False):
         fwd = self.fwd.forward(x)
@@ -340,63 +308,15 @@ class TimeDense(Layer):
     """Affine map applied independently at every frame."""
 
     def __init__(self, d_in, d_out, rng):
-        self.w = _uniform_init(rng, (d_out, d_in), d_in)
-        self.b = _uniform_init(rng, (d_out,), d_in)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
-
-    def params(self):
-        return {"w": self.w, "b": self.b}
-
-    def grads(self):
-        return {"w": self.dw, "b": self.db}
+        self._declare(w=_uniform_init(rng, (d_out, d_in), d_in),
+                      b=_uniform_init(rng, (d_out,), d_in))
 
     def forward(self, x, train=False):
         self._x = x
-        return x @ self.w.T + self.b
+        return x @ self.params["w"].T + self.params["b"]
 
     def backward(self, dy):
-        b, t, _ = dy.shape
-        self.dw += np.einsum("bto,bti->oi", dy, self._x, optimize=True)
-        self.db += dy.sum(axis=(0, 1))
-        return dy @ self.w
+        self.grads["w"] += np.einsum("bto,bti->oi", dy, self._x, optimize=True)
+        self.grads["b"] += dy.sum(axis=(0, 1))
+        return dy @ self.params["w"]
 
-
-class Sequential:
-    def __init__(self, layers):
-        self.layers = layers
-
-    def forward(self, x, train=False):
-        for layer in self.layers:
-            x = layer.forward(x, train=train)
-        return x
-
-    def backward(self, dy):
-        for layer in reversed(self.layers):
-            dy = layer.backward(dy)
-        return dy
-
-    def zero_grads(self):
-        for layer in self.layers:
-            layer.zero_grads()
-
-    def named_params(self):
-        out = {}
-        for k, layer in enumerate(self.layers):
-            for name, arr in layer.params().items():
-                out[f"{k}.{type(layer).__name__}.{name}"] = arr
-        return out
-
-    def named_grads(self):
-        out = {}
-        for k, layer in enumerate(self.layers):
-            for name, arr in layer.grads().items():
-                out[f"{k}.{type(layer).__name__}.{name}"] = arr
-        return out
-
-    def named_buffers(self):
-        out = {}
-        for k, layer in enumerate(self.layers):
-            for name, arr in layer.buffers().items():
-                out[f"{k}.{type(layer).__name__}.{name}"] = arr
-        return out

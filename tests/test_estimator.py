@@ -49,7 +49,7 @@ def stage_outputs(net, x):
     """Shapes produced by each conv stage of ``net`` for one input."""
     x = np.asarray(x, dtype=np.float64)[None]
     shapes = []
-    for layer in net.model.layers:
+    for layer in net.layers:
         x = layer.forward(x, train=False)
         if isinstance(layer, nn.MaxPoolFreq):
             shapes.append(tuple(x.shape[1:]))
@@ -86,9 +86,8 @@ class TestArchitecture:
     def test_zero_input_zeroed_head_gives_half_scores(self):
         # the head emits logits; a zero logit is a sigmoid score of one half
         net = build_network(TINY, Formulation("categorical", GRID30), seed=0)
-        head = net.model.layers[-1]
-        head.w[...] = 0.0
-        head.b[...] = 0.0
+        for p in net.layers[-1].params.values():
+            p[...] = 0.0
         out = net.forward(np.zeros((1, 6, TINY.frames, TINY.freq_bins)))
         np.testing.assert_array_equal(out, 0.0)
         assert loss_categorical(out, [0]) == pytest.approx(len(GRID30) * np.log(2))
@@ -109,9 +108,9 @@ class TestArchitecture:
                 Formulation("categorical", GRID30),
             )
         ]
-        ref = nets[0].model.named_params()
+        ref = nets[0].params
         for other in nets[1:]:
-            params = other.model.named_params()
+            params = other.params
             for key, value in ref.items():
                 if value.shape == params[key].shape:
                     np.testing.assert_array_equal(value, params[key])
@@ -119,7 +118,7 @@ class TestArchitecture:
         diff = [
             k
             for k in ref
-            if ref[k].shape != nets[2].model.named_params()[k].shape
+            if ref[k].shape != nets[2].params[k].shape
         ]
         assert all("TimeDense" in k for k in diff)
 
@@ -130,6 +129,12 @@ class TestArchitecture:
     (dict(pool_factors=(4, -1, 4)), "pool_factors"),
     (dict(conv_channels=(), pool_factors=()), "conv_channels"),
     (dict(freq_bins=129, pool_factors=(8, 8, 8)), "pool_factors"),
+    (dict(hidden=0), "hidden"),
+    (dict(hidden=-3), "hidden"),
+    (dict(fc_width=0), "fc_width"),
+    (dict(frames=0), "frames"),
+    (dict(freq_bins=0), "freq_bins"),
+    (dict(lstm_layers=-1), "lstm_layers"),
 ])
 def test_network_config_rejects_bad_topology(kwargs, field):
     with pytest.raises(ValueError, match=field):
@@ -216,7 +221,7 @@ class TestGradients:
 
     def test_backward_reports_nonfinite(self):
         net = build_network(TINY, Formulation("cartesian"), seed=1)
-        net.model.layers[0].w[0, 0, 0, 0] = np.nan
+        net.params["0.Conv2d.w"][0, 0, 0, 0] = np.nan
         with pytest.raises(FloatingPointError, match="Conv2d"):
             backward(net, tiny_input(), np.array([[1.0, 0, 0], [0, 1.0, 0]]))
 
@@ -244,12 +249,12 @@ class TestTraining:
         form = Formulation("cartesian")
         before = {
             k: v.copy()
-            for k, v in build_network(TINY, form, seed=5).model.named_params().items()
+            for k, v in build_network(TINY, form, seed=5).params.items()
         }
         cfg = TrainConfig(learning_rate=0.0, epochs=2, batch_size=8, seed=5,
                           val_fraction=0.0)
         net, _ = train(x, u, form, cfg, config=TINY)
-        for k, v in net.model.named_params().items():
+        for k, v in net.params.items():
             np.testing.assert_array_equal(v, before[k])
 
     def test_same_seed_identical_history(self):
@@ -274,7 +279,8 @@ class TestTraining:
         x, u = self._toy_dataset(n=8)
         cfg = TrainConfig(epochs=1, batch_size=8, val_fraction=0.0)
         net, _ = train(x, u, Formulation("cartesian"), cfg, config=TINY)
-        assert set(vars(net)) == {"config", "formulation", "model"}
+        assert set(vars(net)) == {"config", "formulation", "layers",
+                                  "params", "grads", "buffers"}
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
@@ -433,13 +439,13 @@ class TestParamCount:
         from ambidoa.nn import TimeDense
 
         layer = TimeDense(128, 3, np.random.default_rng(0))
-        assert layer.w.size + layer.b.size == 387
+        assert sum(p.size for p in layer.params.values()) == 387
 
     def test_categorical_head_arithmetic(self):
         from ambidoa.nn import TimeDense
 
         layer = TimeDense(128, 429, np.random.default_rng(0))
-        assert layer.w.size + layer.b.size == 55341
+        assert sum(p.size for p in layer.params.values()) == 55341
 
     def test_regression_head_smaller_at_paper_scale(self):
         grid10 = build_grid(10.0)
@@ -515,14 +521,71 @@ class TestCheckpoints:
     def test_shapes_that_differ_from_the_config_rejected(self, tmp_path):
         path = self._saved(tmp_path)
         raw = path.read_bytes()
-        (blob_len,) = struct.unpack("<I", raw[8:12])
-        meta = json.loads(raw[12 : 12 + blob_len])
+        meta = _meta(raw)
         meta["config"]["hidden"] += 1
-        blob = json.dumps(meta, sort_keys=True).encode("ascii")
-        path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob
-                         + raw[12 + blob_len :])
+        path.write_bytes(_with_blob(raw, _blob(meta)))
         with pytest.raises(ValueError, match="model.adom: saved params shapes"):
             load_model(path)
+
+    @pytest.mark.parametrize("bad_blob", [
+        lambda m: _blob({**m, "config": {k: v for k, v in m["config"].items()
+                                         if k != "hidden"}}),
+        lambda m: _blob({k: v for k, v in m.items() if k != "formulation"}),
+        lambda m: _blob(m)[:-1],
+        lambda m: b"\xff" + _blob(m)[1:],
+    ], ids=["missing config key", "missing formulation", "not JSON", "not ASCII"])
+    def test_bad_config_blob_names_the_file(self, tmp_path, bad_blob):
+        path = self._saved(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(_with_blob(raw, bad_blob(_meta(raw))))
+        with pytest.raises(ValueError, match="model.adom: bad config blob"):
+            load_model(path)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_every_config_blob_edit_loads_or_names_the_file(self, data):
+        raw = _valid_checkpoint_bytes()
+        meta = _meta(raw)
+        fields = sorted(meta) + [f"config.{k}" for k in sorted(meta["config"])]
+        field = data.draw(st.sampled_from(fields), label="field")
+        owner, key = ((meta["config"], field[7:]) if field.startswith("config.")
+                      else (meta, field))
+        if data.draw(st.booleans(), label="delete"):
+            del owner[key]
+        else:
+            owner[key] = data.draw(JSON_VALUES, label="value")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "edited.adom")
+            with open(path, "wb") as f:
+                f.write(_with_blob(raw, _blob(meta)))
+            try:
+                load_model(path)  # an edit can leave a valid checkpoint
+            except ValueError as err:
+                assert path in str(err)
+
+
+# small values keep every network an edit can describe small
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(-3.0, 40.0)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+def _meta(raw):
+    (blob_len,) = struct.unpack("<I", raw[8:12])
+    return json.loads(raw[12 : 12 + blob_len])
+
+
+def _blob(meta):
+    return json.dumps(meta, sort_keys=True).encode("ascii")
+
+
+def _with_blob(raw, blob):
+    """Checkpoint bytes ``raw`` with the config blob replaced by ``blob``."""
+    (blob_len,) = struct.unpack("<I", raw[8:12])
+    return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + blob_len :]
 
 
 def _valid_checkpoint_bytes():

@@ -14,10 +14,11 @@ def fd_param_check(layer, x, tol=1e-7, step=1e-5, train=True):
     fixed random linear functional of the output."""
     y = layer.forward(x, train=train)
     proj = np.random.default_rng(1).standard_normal(y.shape)
-    layer.zero_grads()
+    for g in layer.grads.values():
+        g[...] = 0.0
     layer.backward(proj)
-    for name, p in layer.params().items():
-        analytic = layer.grads()[name]
+    for name, p in layer.params.items():
+        analytic = layer.grads[name]
         numeric = np.zeros_like(p)
         flat, nflat = p.reshape(-1), numeric.reshape(-1)
         for i in range(flat.size):
@@ -37,7 +38,6 @@ def fd_param_check(layer, x, tol=1e-7, step=1e-5, train=True):
 def fd_input_check(layer, x, tol=1e-7, step=1e-5, train=True):
     y = layer.forward(x, train=train)
     proj = np.random.default_rng(2).standard_normal(y.shape)
-    layer.zero_grads()
     dx = layer.backward(proj)
     flat = x.reshape(-1)
     sel = np.random.default_rng(3).choice(flat.size, min(60, flat.size), replace=False)
@@ -94,7 +94,7 @@ class TestConv2d:
         rng = np.random.default_rng(14)
         layer = nn.Conv2d(c_in, c_out, rng)
         x = rng.standard_normal((b, c_in, t, f))
-        np.testing.assert_allclose(layer.forward(x), conv3x3_loops(x, layer.w, layer.b),
+        np.testing.assert_allclose(layer.forward(x), conv3x3_loops(x, layer.params["w"], layer.params["b"]),
                                    rtol=0, atol=1e-12)
 
     def test_gradients(self):
@@ -152,8 +152,8 @@ class TestBatchNorm:
     def test_gradients_train_mode(self):
         rng = np.random.default_rng(7)
         layer = nn.BatchNorm2d(3)
-        layer.gamma[...] = rng.uniform(0.5, 1.5, 3)
-        layer.beta[...] = rng.uniform(-0.5, 0.5, 3)
+        layer.params["gamma"][...] = rng.uniform(0.5, 1.5, 3)
+        layer.params["beta"][...] = rng.uniform(-0.5, 0.5, 3)
         x = rng.standard_normal((3, 3, 4, 5))
         fd_param_check(layer, x)
         fd_input_check(layer, x)
@@ -161,10 +161,10 @@ class TestBatchNorm:
     def test_gradients_inference_mode(self):
         rng = np.random.default_rng(17)
         layer = nn.BatchNorm2d(3)
-        layer.gamma[...] = rng.uniform(0.5, 1.5, 3)
-        layer.beta[...] = rng.uniform(-0.5, 0.5, 3)
-        layer.run_mean[...] = rng.uniform(-1.0, 1.0, 3)
-        layer.run_var[...] = rng.uniform(0.5, 2.0, 3)
+        layer.params["gamma"][...] = rng.uniform(0.5, 1.5, 3)
+        layer.params["beta"][...] = rng.uniform(-0.5, 0.5, 3)
+        layer.buffers["run_mean"][...] = rng.uniform(-1.0, 1.0, 3)
+        layer.buffers["run_var"][...] = rng.uniform(0.5, 2.0, 3)
         x = rng.standard_normal((3, 3, 4, 5))
         fd_param_check(layer, x, train=False)
         fd_input_check(layer, x, train=False)
@@ -230,7 +230,7 @@ class TestTimeDense:
         layer = nn.TimeDense(4, 2, rng)
         x = rng.standard_normal((2, 3, 4))
         y = layer.forward(x)
-        np.testing.assert_allclose(y[1, 2], layer.w @ x[1, 2] + layer.b, atol=1e-14)
+        np.testing.assert_allclose(y[1, 2], layer.params["w"] @ x[1, 2] + layer.params["b"], atol=1e-14)
 
     def test_gradients(self):
         rng = np.random.default_rng(13)
