@@ -157,7 +157,6 @@ class NetworkConfig:
         return ch * bins
 
 
-
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-3

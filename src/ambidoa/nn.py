@@ -27,6 +27,9 @@ __all__ = [
 
 BN_MOMENTUM = 0.9
 BN_EPS = 1e-5
+# Reduction length of one weight-gradient GEMM: BLAS splits a longer sum
+# differently per thread count, so the bits would depend on it.
+K_CHUNK = 512
 
 
 def _uniform_init(rng, shape, fan_in):
@@ -105,7 +108,9 @@ class Conv2d(Layer):
         for i in range(b):
             self._im2col(xpad[i], cols)
             dy_i = dy[i].reshape(self.c_out, t * f)
-            dw += dy_i @ cols.reshape(c * 9, t * f).T
+            cols_i = cols.reshape(c * 9, t * f)
+            for k in range(0, t * f, K_CHUNK):  # fixed chunks, summed in order
+                dw += dy_i[:, k : k + K_CHUNK] @ cols_i[:, k : k + K_CHUNK].T
             dcols = (w.T @ dy_i).reshape(c, 3, 3, t, f)
             for dt in range(3):
                 for df in range(3):
@@ -319,4 +324,3 @@ class TimeDense(Layer):
         self.grads["w"] += np.einsum("bto,bti->oi", dy, self._x, optimize=True)
         self.grads["b"] += dy.sum(axis=(0, 1))
         return dy @ self.params["w"]
-

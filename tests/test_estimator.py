@@ -1,6 +1,8 @@
 import json
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ambidoa
 from ambidoa import estimator, nn
 from ambidoa.estimator import (
     Formulation,
@@ -224,6 +227,38 @@ class TestGradients:
         net.params["0.Conv2d.w"][0, 0, 0, 0] = np.nan
         with pytest.raises(FloatingPointError, match="Conv2d"):
             backward(net, tiny_input(), np.array([[1.0, 0, 0], [0, 1.0, 0]]))
+
+
+# two desk training steps; prints a digest of every gradient
+TWO_DESK_STEPS = """
+import hashlib
+import numpy as np
+from ambidoa.estimator import Formulation, NetworkConfig, TrainConfig, train
+desk = NetworkConfig.desk()
+rng = np.random.default_rng(0)
+x = rng.uniform(-0.8, 0.8, (32, 6, desk.frames, desk.freq_bins))
+u = rng.standard_normal((32, 3))
+u /= np.linalg.norm(u, axis=1, keepdims=True)
+cfg = TrainConfig(batch_size=16, epochs=1, val_fraction=0.0)
+net, _ = train(x, u, Formulation("cartesian"), cfg, config=desk)
+for name, g in net.grads.items():
+    print(name, hashlib.sha256(g.tobytes()).hexdigest())
+"""
+
+
+def test_gradients_do_not_depend_on_the_blas_thread_count():
+    path = [os.path.dirname(os.path.dirname(ambidoa.__file__))]
+    path += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(path)}
+        run = subprocess.run([sys.executable, "-c", TWO_DESK_STEPS], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(run.stdout.splitlines())
+    assert digests[0], "the training script printed no gradient"
+    differ = [a.split()[0] for a, b in zip(*digests) if a != b]
+    assert not differ, f"gradients differ between 1 and 2 threads: {differ}"
 
 
 class TestTraining:

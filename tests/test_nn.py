@@ -94,8 +94,8 @@ class TestConv2d:
         rng = np.random.default_rng(14)
         layer = nn.Conv2d(c_in, c_out, rng)
         x = rng.standard_normal((b, c_in, t, f))
-        np.testing.assert_allclose(layer.forward(x), conv3x3_loops(x, layer.params["w"], layer.params["b"]),
-                                   rtol=0, atol=1e-12)
+        expected = conv3x3_loops(x, layer.params["w"], layer.params["b"])
+        np.testing.assert_allclose(layer.forward(x), expected, rtol=0, atol=1e-12)
 
     def test_gradients(self):
         rng = np.random.default_rng(4)
@@ -230,7 +230,8 @@ class TestTimeDense:
         layer = nn.TimeDense(4, 2, rng)
         x = rng.standard_normal((2, 3, 4))
         y = layer.forward(x)
-        np.testing.assert_allclose(y[1, 2], layer.params["w"] @ x[1, 2] + layer.params["b"], atol=1e-14)
+        expected = layer.params["w"] @ x[1, 2] + layer.params["b"]
+        np.testing.assert_allclose(y[1, 2], expected, atol=1e-14)
 
     def test_gradients(self):
         rng = np.random.default_rng(13)
