@@ -54,7 +54,7 @@ __all__ = [
 HAVERSINE_CLAMP = 1e-12
 GRAD_CHECK_STEP = 1e-4
 CLIP_NORM = 5.0  # global gradient-norm ceiling of every optimizer step
-PREDICT_ELEMENTS = 1 << 20  # input elements per inference forward pass
+PREDICT_ELEMENTS = 1 << 18  # input elements per inference forward pass
 MODEL_MAGIC = b"ADOM"
 MODEL_VERSION = 1
 
@@ -83,6 +83,10 @@ class Formulation:
         return 3 if self.kind == "cartesian" else 2
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Topology knobs. ``conv_channels[i]`` and ``pool_factors[i]`` describe
@@ -97,17 +101,22 @@ class NetworkConfig:
     freq_bins: int = 513
 
     def __post_init__(self):
+        for name in ("hidden", "lstm_layers", "fc_width", "frames", "freq_bins"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("hidden", "fc_width", "frames", "freq_bins"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.lstm_layers < 0:
             raise ValueError(f"lstm_layers must be >= 0, got {self.lstm_layers}")
-        if len(self.conv_channels) != len(self.pool_factors):
-            raise ValueError("conv_channels and pool_factors must have equal length")
         for name in ("conv_channels", "pool_factors"):
             values = getattr(self, name)
+            if not isinstance(values, tuple) or not all(_is_int(v) for v in values):
+                raise ValueError(f"{name} must be a tuple of integers, got {values!r}")
             if not values or min(values) < 1:
                 raise ValueError(f"{name} must hold positive values, got {values}")
+        if len(self.conv_channels) != len(self.pool_factors):
+            raise ValueError("conv_channels and pool_factors must have equal length")
         if self.flat_width < 1:
             raise ValueError(f"pool_factors {self.pool_factors} leave no bin of "
                              f"freq_bins={self.freq_bins}")
@@ -534,7 +543,8 @@ def predict_sample(net: Network, feature_tensor):
 
 def predict_window(net: Network, window):
     """Direction estimate from a spectrogram of exactly ``config.frames``
-    frames, as :func:`ambidoa.evaluate.track` cuts it."""
+    frames: the single-window case. :func:`ambidoa.evaluate.track` featurises
+    a whole recording once and batches its windows through :func:`predict`."""
     return predict_sample(net, intensity_features(window).values)
 
 

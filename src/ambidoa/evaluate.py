@@ -325,9 +325,10 @@ class TrackResult:
 
 def track(window_predictor, signal, truth, hop_frames, frames=25, window=1024):
     """Slide a ``frames``-long window over the signal's STFT, ``hop_frames``
-    frames at a time. ``window_predictor(window)`` gets each window as its own
-    spectrogram and returns a unit direction; timestamps mark the window's
-    center-frame time."""
+    frames at a time. ``window_predictor(spec, frames, hop_frames)`` gets the
+    whole recording's spectrogram and returns one unit direction per window,
+    for windows starting at frames 0, ``hop_frames``, 2 * ``hop_frames``, ...;
+    timestamps mark each window's center-frame time."""
     if hop_frames < 1:
         raise ValueError("hop_frames must be >= 1")
     hop = window // 2
@@ -338,10 +339,7 @@ def track(window_predictor, signal, truth, hop_frames, frames=25, window=1024):
         )
     spec = stft(signal, frames=total_frames, window=window)
     starts = np.arange(0, total_frames - frames + 1, hop_frames)
-    preds = np.stack([
-        window_predictor(replace(spec, bins=spec.bins[:, s : s + frames]))
-        for s in starts
-    ])
+    preds = window_predictor(spec, frames, hop_frames)
     errors = angular_error(preds, np.broadcast_to(truth, preds.shape))
     return TrackResult(
         timestamps=((starts + frames // 2) * hop + window / 2) / signal.sample_rate,
@@ -351,17 +349,30 @@ def track(window_predictor, signal, truth, hop_frames, frames=25, window=1024):
 
 
 def net_window_predictor(net):
-    from .estimator import predict_window
+    """Featurise the recording once and run every window through one chunked
+    :func:`ambidoa.estimator.predict`. Intensity features are pointwise per
+    time-frequency bin, so each window of the whole-recording features holds
+    the bits of that window featurised alone; the windows are a strided view,
+    and ``predict`` copies one chunk of them at a time."""
 
-    return lambda window: predict_window(net, window)
+    def predictor(spec, frames, hop_frames):
+        feats = intensity_features(spec).values  # (6, total_frames, bins)
+        windows = np.lib.stride_tricks.sliding_window_view(feats, frames, axis=1)
+        return predict(net, windows[:, ::hop_frames].transpose(1, 0, 3, 2))
+
+    return predictor
 
 
 def music_window_predictor(grid):
     from .music import music_spectrum, spatial_covariance
 
-    def predictor(window):
-        scores = music_spectrum(spatial_covariance(window), grid)
-        return grid.directions[int(np.argmax(scores))]
+    def predictor(spec, frames, hop_frames):
+        preds = []
+        for s in range(0, spec.n_frames - frames + 1, hop_frames):
+            window = replace(spec, bins=spec.bins[:, s : s + frames])
+            scores = music_spectrum(spatial_covariance(window), grid)
+            preds.append(grid.directions[int(np.argmax(scores))])
+        return np.stack(preds)
 
     return predictor
 

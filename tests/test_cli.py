@@ -5,7 +5,13 @@ import pytest
 
 from ambidoa.acoustics import load_scenes
 from ambidoa.cli import build_parser, main
-from ambidoa.estimator import TrainConfig
+from ambidoa.estimator import (
+    Formulation,
+    NetworkConfig,
+    TrainConfig,
+    build_network,
+    save_model,
+)
 from ambidoa.evaluate import RenderConfig, propagate, sample_rng
 from ambidoa.foa import encode_plane_wave, encode_srir, read_wav, write_wav
 from ambidoa.geometry import to_cartesian
@@ -195,3 +201,22 @@ class TestMusicAndTrack:
         ]) == 0
         assert csv.read_text().startswith("time_s,")
         assert svg.read_text().startswith("<svg")
+
+    def test_track_with_a_model_writes_one_row_per_window(self, wave_file, tmp_path,
+                                                          capsys):
+        model = tmp_path / "desk.adom"
+        save_model(model, build_network(NetworkConfig.desk(), Formulation("cartesian"),
+                                        seed=6))
+        csv = tmp_path / "track.csv"
+        assert run([
+            "track", "--input", str(wave_file), "--model", str(model),
+            "--truth-azimuth", "40", "--truth-elevation", "10",
+            "--hop", "2", "--out", str(csv),
+        ]) == 0
+        # desk features: window 256, hop 128, 25 frames per window
+        total = (32000 - 256) // 128 + 1
+        windows = len(range(0, total - 24, 2))
+        rows = csv.read_text().strip().splitlines()
+        assert rows[0] == "time_s,azimuth_deg,elevation_deg,error_deg"
+        assert len(rows) - 1 == windows
+        assert f"{windows} predictions" in capsys.readouterr().out

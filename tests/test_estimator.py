@@ -138,10 +138,34 @@ class TestArchitecture:
     (dict(frames=0), "frames"),
     (dict(freq_bins=0), "freq_bins"),
     (dict(lstm_layers=-1), "lstm_layers"),
+    (dict(hidden=2.5), "hidden"),
+    (dict(conv_channels=(8, 8.5, 8)), "conv_channels"),
+    (dict(frames=True), "frames"),
+    (dict(pool_factors=[8, 8, 4]), "pool_factors"),
 ])
 def test_network_config_rejects_bad_topology(kwargs, field):
     with pytest.raises(ValueError, match=field):
         NetworkConfig(**kwargs)
+
+
+SIZE_FIELDS = ("hidden", "lstm_layers", "fc_width", "frames", "freq_bins")
+NOT_INTEGERS = (st.booleans() | st.floats() | st.integers(1, 64).map(float)
+                | st.none() | st.text(max_size=2) | st.integers(1, 64).map(str))
+
+
+@given(field=st.sampled_from(SIZE_FIELDS), value=NOT_INTEGERS)
+def test_network_config_names_a_non_integer_size(field, value):
+    with pytest.raises(ValueError, match=field):
+        NetworkConfig(**{field: value})
+
+
+@given(field=st.sampled_from(("conv_channels", "pool_factors")),
+       index=st.integers(0, 2), value=NOT_INTEGERS)
+def test_network_config_names_a_non_integer_stage_entry(field, index, value):
+    values = list(getattr(NetworkConfig(), field))
+    values[index] = value
+    with pytest.raises(ValueError, match=field):
+        NetworkConfig(**{field: tuple(values)})
 
 
 class TestLosses:

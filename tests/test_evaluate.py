@@ -1,16 +1,19 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ambidoa import evaluate
+from ambidoa import estimator, evaluate
 from ambidoa.acoustics import PathSet, RoomConfig, Scene, sample_scenes
 from ambidoa.estimator import (
     Formulation,
+    Network,
     NetworkConfig,
     TrainConfig,
     build_network,
+    predict,
     predict_sample,
     train,
 )
@@ -32,7 +35,8 @@ from ambidoa.evaluate import (
 )
 from ambidoa.features import intensity_features, stft
 from ambidoa.foa import encode_plane_wave, encode_srir
-from ambidoa.geometry import build_grid, to_cartesian
+from ambidoa.geometry import build_grid, great_circle, to_cartesian
+from ambidoa.music import music_spectrum, spatial_covariance
 
 FAST_RENDER = RenderConfig(method="image", max_order=2)
 
@@ -215,12 +219,74 @@ class TestTrack:
         feats = intensity_features(stft(sig, frames=total, window=256)).values
         starts = np.arange(0, total - 24, 3)
         assert len(result.predictions) == len(starts) == 7
-        for s, pred in zip(starts, result.predictions):
-            assert np.array_equal(pred, predict_sample(net, feats[:, s : s + 25]))
+        windows = np.stack([feats[:, s : s + 25] for s in starts])
+        # the same batch gives the same bits; a batch of one runs GEMMs with
+        # other row counts, so it may differ in the last bits
+        assert np.array_equal(result.predictions, predict(net, windows))
+        for window, pred in zip(windows, result.predictions):
+            assert great_circle(pred, predict_sample(net, window)) <= 1e-9
         # centre frame s + 12, centre sample (s + 12) * hop + window / 2
         np.testing.assert_array_equal(
             result.timestamps, ((starts + 12) * 128 + 128) / 16000)
         assert result.timestamps[0] == pytest.approx(0.104)
+
+    def test_sliding_window_features_are_the_features_of_each_slice(self):
+        rng = np.random.default_rng(6)
+        u = to_cartesian(-2.0, 0.5)
+        sig = encode_plane_wave(rng.standard_normal(8000), u, 16000)
+        sig.channels[1:] += 0.1 * rng.standard_normal(sig.channels[1:].shape)
+        spec = stft(sig, frames=(8000 - 256) // 128 + 1, window=256)
+        feats = intensity_features(spec).values
+        windows = np.lib.stride_tricks.sliding_window_view(feats, 25, axis=1)
+        for s in range(0, spec.n_frames - 24, 4):
+            alone = intensity_features(replace(spec, bins=spec.bins[:, s : s + 25]))
+            assert np.array_equal(windows[:, s].transpose(0, 2, 1), alone.values)
+
+    @pytest.mark.parametrize("hop_frames", [1, 5])
+    def test_model_track_featurises_once_and_forwards_in_chunks(self, hop_frames,
+                                                                monkeypatch):
+        rng = np.random.default_rng(7)
+        u = to_cartesian(0.3, 0.2)
+        sig = encode_plane_wave(rng.standard_normal(8000), u, 16000)
+        net = build_network(NetworkConfig.desk(), Formulation("cartesian"), seed=3)
+        featurised, forwards = [], []
+        features_of, forward = evaluate.intensity_features, Network.forward
+
+        def counted_features(spec):
+            featurised.append(spec.n_frames)
+            return features_of(spec)
+
+        def counted_forward(self, x, train=False):
+            forwards.append(len(x))
+            return forward(self, x, train)
+
+        monkeypatch.setattr(evaluate, "intensity_features", counted_features)
+        monkeypatch.setattr(Network, "forward", counted_forward)
+        result = track(net_window_predictor(net), sig, u, hop_frames=hop_frames,
+                       frames=25, window=256)
+        monkeypatch.undo()
+        total = (8000 - 256) // 128 + 1
+        n = len(range(0, total - 24, hop_frames))
+        chunk = estimator.PREDICT_ELEMENTS // (6 * 25 * 129)
+        assert len(result.predictions) == n
+        assert featurised == [total]
+        assert len(forwards) == -(-n // chunk)
+        assert forwards[:-1] == [chunk] * (len(forwards) - 1) and sum(forwards) == n
+
+    def test_music_track_scores_each_window_alone(self):
+        rng = np.random.default_rng(8)
+        u = to_cartesian(2.2, -0.4)
+        sig = encode_plane_wave(rng.standard_normal(24000), u, 16000)
+        sig.channels[:] += 0.05 * rng.standard_normal(sig.channels.shape)
+        grid = build_grid(10.0)
+        result = track(music_window_predictor(grid), sig, u, hop_frames=6)
+        spec = stft(sig, frames=(24000 - 1024) // 512 + 1, window=1024)
+        starts = range(0, spec.n_frames - 24, 6)
+        assert len(result.predictions) == len(starts)
+        for s, pred in zip(starts, result.predictions):
+            window = replace(spec, bins=spec.bins[:, s : s + 25])
+            scores = music_spectrum(spatial_covariance(window), grid)
+            assert np.array_equal(pred, grid.directions[int(np.argmax(scores))])
 
     def test_huge_hop_gives_single_prediction(self):
         rng = np.random.default_rng(2)
