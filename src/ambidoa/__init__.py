@@ -19,7 +19,7 @@ from .acoustics import (
     sample_scenes,
     trace_paths,
 )
-from .foa import FoaIR, FoaSignal, encode_plane_wave, encode_srir, foa_gains
+from .foa import FoaSignal, encode_plane_wave, encode_srir, foa_gains
 from .features import (
     FeatureTensor,
     Spectrogram,

@@ -51,7 +51,6 @@ class RoomConfig:
     dims: np.ndarray
     absorption: np.ndarray
     scattering: float = 0.0
-    speed_of_sound: float = SPEED_OF_SOUND
 
     def __post_init__(self):
         dims = np.asarray(self.dims, dtype=np.float64)
@@ -66,8 +65,6 @@ class RoomConfig:
             raise ValueError(f"absorption must lie in [0, 1], got {self.absorption}")
         if not 0.0 <= self.scattering <= 1.0:
             raise ValueError(f"scattering must lie in [0, 1], got {self.scattering}")
-        if self.speed_of_sound <= 0:
-            raise ValueError("speed_of_sound must be positive")
 
     @property
     def volume(self):
@@ -242,8 +239,8 @@ def image_source_paths(scene: Scene, max_order):
     """All specular arrivals up to ``max_order`` reflections.
 
     Amplitude is prod(sqrt(1 - alpha_axis)^bounces) / distance (1/r spreading);
-    delay is distance / c; direction is the unit vector from the listener to
-    the image position.
+    delay is distance / SPEED_OF_SOUND; direction is the unit vector from the
+    listener to the image position.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
@@ -266,7 +263,7 @@ def image_source_paths(scene: Scene, max_order):
     offsets = images - scene.listener
     dist = np.linalg.norm(offsets, axis=-1)
     directions = offsets / dist[:, None]
-    delays = dist / room.speed_of_sound
+    delays = dist / SPEED_OF_SOUND
 
     refl = np.sqrt(1.0 - room.absorption)  # per-axis pressure factor per bounce
     gains = (
@@ -328,6 +325,8 @@ def trace_paths(scene: Scene, n_rays, max_bounces, receiver_radius, rng_seed=0):
     """
     if n_rays < 1:
         raise ValueError("n_rays must be >= 1")
+    if max_bounces < 0:
+        raise ValueError("max_bounces must be >= 0")
     room = scene.room
     if not 0.0 < receiver_radius < float(np.min(room.dims)) / 4.0:
         raise ValueError(
@@ -337,7 +336,6 @@ def trace_paths(scene: Scene, n_rays, max_bounces, receiver_radius, rng_seed=0):
         raise ValueError("source lies inside the receiver sphere")
 
     rng = np.random.default_rng(rng_seed)
-    c = room.speed_of_sound
     listener = scene.listener
     dims = room.dims
     r2 = receiver_radius**2
@@ -386,7 +384,7 @@ def trace_paths(scene: Scene, n_rays, max_bounces, receiver_radius, rng_seed=0):
                                + miss2[detected])
             emit(
                 -direction[detected],
-                unfolded / c,
+                unfolded / SPEED_OF_SOUND,
                 energy[detected],
                 np.full(int(detected.sum()), bounce, dtype=np.int64),
                 had_diffuse[detected],
@@ -430,7 +428,7 @@ def trace_paths(scene: Scene, n_rays, max_bounces, receiver_radius, rng_seed=0):
                                 energy[diff_idx])
             emit(
                 to_l / dist[:, None] * -1.0,
-                (traveled[diff_idx] + dist) / c,
+                (traveled[diff_idx] + dist) / SPEED_OF_SOUND,
                 caught,
                 np.full(diff_idx.size, bounce + 1, dtype=np.int64),
                 np.ones(diff_idx.size, dtype=bool),

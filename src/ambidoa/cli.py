@@ -2,9 +2,10 @@
 
     simulate -> render -> train -> eval -> compare; plus music, track, gridinfo.
 
-Every subcommand derives all randomness from --seed and writes a run.json
-capturing the resolved configuration next to its outputs. Exit codes: 0 on
-success, 1 on usage errors, 2 on runtime failures.
+Every subcommand derives all randomness from --seed. simulate, render, train,
+eval, and compare with --report write a run.json capturing the resolved
+configuration next to their outputs. Exit codes: 0 on success, 1 on usage
+errors, 2 on runtime failures.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from .evaluate import (
     tolerance_accuracy,
     track,
 )
-from .foa import encode_srir, read_wav, write_wav, direction_angles
-from .geometry import COVERAGE_PROBES, build_grid, to_cartesian
+from .foa import encode_srir, read_wav, write_wav
+from .geometry import COVERAGE_PROBES, build_grid, to_cartesian, to_spherical
 from .music import WINDOW as MUSIC_WINDOW, music_estimate
 from .plots import svg_line_chart
 
@@ -221,12 +222,12 @@ def cmd_music(args):
     signal = read_wav(args.input)
     grid = build_grid(args.resolution)
     direction, scores = music_estimate(signal, grid)
-    az, el = direction_angles(direction)
+    az, el = np.degrees(to_spherical(direction))
     print(f"estimated azimuth {az:.2f} deg, elevation {el:.2f} deg")
     top = np.argsort(scores)[::-1][:5]
     print("top classes:")
     for idx in top:
-        caz, cel = direction_angles(grid.directions[idx])
+        caz, cel = np.degrees(to_spherical(grid.directions[idx]))
         print(f"  class {idx}: az {caz:7.2f} el {cel:7.2f}  score {scores[idx]:.4f}")
     return 0
 

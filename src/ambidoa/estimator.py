@@ -15,6 +15,7 @@ so the three formulations share bit-identical initial trunks.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, fields
 
@@ -175,12 +176,13 @@ class TrainConfig:
     val_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.learning_rate <= 0 and self.learning_rate != 0.0:
-            raise ValueError("learning rate must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(
+                f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        for name in ("batch_size", "epochs"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
 
@@ -352,18 +354,18 @@ def _activation_signature(net):
     return b"".join(parts)
 
 
-def grad_check(net: Network, x, target, return_skipped=False):
-    """Max over parameter tensors of the relative error between analytic
-    gradients and central finite differences:
+def grad_check(net: Network, x, target):
+    """``(worst, skipped)``: the max over parameter tensors of the relative
+    error between analytic gradients and central finite differences,
 
         ||g_analytic - g_numeric|| / max(||g_analytic|| + ||g_numeric||, 1e-12)
 
     Every scalar parameter is perturbed by +/-``GRAD_CHECK_STEP`` (practical
     at the tiny preset only). Scalars whose +/-step interval crosses a ReLU or
     max-pool kink are excluded from the comparison, because the two-point
-    difference does not estimate the derivative across a kink; their count is
-    available via ``return_skipped``. The analytic value replaces the numeric
-    one in the norm so skipping can only be neutral, never flattering.
+    difference does not estimate the derivative across a kink; ``skipped``
+    counts them. The analytic value replaces the numeric one in the norm so
+    skipping can only be neutral, never flattering.
     """
     x = np.asarray(x, dtype=np.float64)
     loss_fn = _loss_for(net.formulation)
@@ -393,9 +395,7 @@ def grad_check(net: Network, x, target, return_skipped=False):
             nflat[i] = (lp - lm) / (2.0 * GRAD_CHECK_STEP)
         denom = max(np.linalg.norm(ga) + np.linalg.norm(numeric), 1e-12)
         worst = max(worst, np.linalg.norm(ga - numeric) / denom)
-    if return_skipped:
-        return worst, skipped
-    return worst
+    return worst, skipped
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,16 @@ listener to the source, reverberation notwithstanding.
 from __future__ import annotations
 
 import json
+import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .acoustics import image_source_paths, trace_paths
-from .estimator import NetworkConfig, TrainConfig, predict, train
+from .estimator import NetworkConfig, TrainConfig, _is_int, predict, train
 from .features import (
     babble_noise,
     convolve_foa,
@@ -50,7 +53,8 @@ __all__ = [
     "compare_methods",
 ]
 
-DEFAULT_THRESHOLDS = (5.0, 10.0, 15.0)
+THRESHOLDS_DEG = (5.0, 10.0, 15.0)  # tolerance-accuracy columns of every report
+TEST_FRACTION = 0.2  # held-out share of the scenes in compare_methods
 
 
 @dataclass(frozen=True)
@@ -70,6 +74,18 @@ class RenderConfig:
     def __post_init__(self):
         if self.method not in ("image", "trace"):
             raise ValueError(f"unknown render method {self.method!r}")
+        for name, least in (("sample_rate", 1), ("window", 2), ("frames", 1),
+                            ("max_order", 0), ("n_rays", 1), ("max_bounces", 0)):
+            value = getattr(self, name)
+            if not _is_int(value) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name in ("receiver_radius", "ir_seconds"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if self.ir_length < 1:
+            raise ValueError(f"ir_seconds {self.ir_seconds} holds no sample at "
+                             f"{self.sample_rate} Hz")
 
     @property
     def ir_length(self):
@@ -229,6 +245,8 @@ def render_dataset(scenes, out_dir, cfg: RenderConfig, seed=0, speech_dir=None,
     but wall time. Returns the record list; the manifest is written to
     out_dir/manifest.jsonl.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     check_receiver_clearance(scenes, cfg)
     clips = _speech_clips(speech_dir, cfg.sample_rate)
     if clips is None and not allow_synthetic_speech:
@@ -237,23 +255,15 @@ def render_dataset(scenes, out_dir, cfg: RenderConfig, seed=0, speech_dir=None,
         )
     os.makedirs(out_dir, exist_ok=True)
     root_entropy = np.random.SeedSequence(seed).entropy
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(
-                pool.map(
-                    lambda pair: _render_one(
-                        pair[0], pair[1], cfg, root_entropy, clips, out_dir
-                    ),
-                    enumerate(scenes),
-                )
-            )
+    render = partial(_render_one, cfg=cfg, root_entropy=root_entropy, clips=clips,
+                     out_dir=out_dir)
+    if workers == 1:
+        # in the calling thread: a pool thread renders into its own glibc malloc
+        # arena, which kept up to 50 MB more resident on traced renders
+        records = list(map(render, range(len(scenes)), scenes))
     else:
-        records = [
-            _render_one(i, scene, cfg, root_entropy, clips, out_dir)
-            for i, scene in enumerate(scenes)
-        ]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(render, range(len(scenes)), scenes))
     with open(os.path.join(out_dir, "manifest.jsonl"), "w", encoding="ascii") as f:
         for rec in records:
             f.write(rec.to_json())
@@ -289,12 +299,12 @@ def angular_error(pred, truth):
     return np.degrees(great_circle(pred, truth))
 
 
-def tolerance_accuracy(errors, thresholds=DEFAULT_THRESHOLDS):
-    """Percentage of errors strictly below each threshold."""
+def tolerance_accuracy(errors):
+    """Percentage of errors strictly below each of ``THRESHOLDS_DEG``."""
     errors = np.asarray(errors, dtype=np.float64)
     if errors.size == 0:
         raise ValueError("tolerance accuracy of an empty error list")
-    return tuple(100.0 * float(np.mean(errors < th)) for th in thresholds)
+    return tuple(100.0 * float(np.mean(errors < th)) for th in THRESHOLDS_DEG)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +402,7 @@ class ComparisonRow:
 
 def compare_methods(records_image, dir_image, records_trace, dir_trace,
                     formulations, train_cfg: TrainConfig,
-                    net_config: NetworkConfig = None, test_fraction=0.2):
+                    net_config: NetworkConfig = None):
     """Train per (propagation method x formulation) and evaluate all models on
     the shared held-out scenes from the trace renders.
 
@@ -412,7 +422,7 @@ def compare_methods(records_image, dir_image, records_trace, dir_trace,
     net_config = net_config or NetworkConfig.desk()
 
     order = np.random.default_rng(train_cfg.seed).permutation(len(records_trace))
-    n_test = max(1, int(round(len(records_trace) * test_fraction)))
+    n_test = max(1, int(round(len(records_trace) * TEST_FRACTION)))
     test, train_ = order[:n_test], order[n_test:]
     x_test, y_test = load_dataset([records_trace[i] for i in test], dir_trace)
 
@@ -434,18 +444,14 @@ def compare_methods(records_image, dir_image, records_trace, dir_trace,
                     accuracies=tolerance_accuracy(errs),
                 )
             )
-    for row in rows:
-        if row.method == "trace":
-            base = next(
-                r for r in rows
-                if r.method == "image" and r.formulation == row.formulation
-            )
-            if base.mean_error_deg > 0:
-                row.improvement_pct = 100.0 * (
-                    base.mean_error_deg - row.mean_error_deg
-                ) / base.mean_error_deg
-            else:
-                row.improvement_pct = 0.0
+    n = len(formulations)
+    for base, row in zip(rows[:n], rows[n:]):  # image rows come first, in the same order
+        if base.mean_error_deg > 0:
+            row.improvement_pct = 100.0 * (
+                base.mean_error_deg - row.mean_error_deg
+            ) / base.mean_error_deg
+        else:
+            row.improvement_pct = 0.0
     return rows
 
 

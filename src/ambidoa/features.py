@@ -21,7 +21,7 @@ import numpy as np
 from scipy import fft as sp_fft
 from scipy.signal import fftconvolve
 
-from .foa import FoaIR, FoaSignal, foa_gains
+from .foa import FoaSignal, foa_gains
 
 __all__ = [
     "Spectrogram",
@@ -92,7 +92,7 @@ class FeatureTensor:
             raise ValueError("intensity features exceed the sqrt(3)/2 bound")
 
 
-def convolve_foa(dry, ir: FoaIR):
+def convolve_foa(dry, ir: FoaSignal):
     """Channel-wise full convolution of a dry mono signal, taken to be at the
     IR's sample rate, with a 4-channel IR."""
     dry = np.asarray(dry, dtype=np.float64)

@@ -13,10 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.io import wavfile
 
-from .geometry import to_spherical
-
 __all__ = [
-    "FoaIR",
     "FoaSignal",
     "foa_gains",
     "encode_plane_wave",
@@ -29,8 +26,8 @@ DEFAULT_SAMPLE_RATE = 16000
 
 
 @dataclass
-class FoaIR:
-    """4 x n impulse response, channel order (W, X, Y, Z)."""
+class FoaSignal:
+    """4 x n time signal or impulse response, channel order (W, X, Y, Z)."""
 
     channels: np.ndarray
     sample_rate: int
@@ -40,13 +37,9 @@ class FoaIR:
         if self.channels.ndim != 2 or self.channels.shape[0] != 4:
             raise ValueError(f"expected 4 x n channels, got {self.channels.shape}")
         if self.channels.shape[1] < 1:
-            raise ValueError("impulse response must hold at least one sample")
+            raise ValueError("FOA signal must hold at least one sample")
         if not np.all(np.isfinite(self.channels)):
-            raise ValueError("impulse response contains non-finite samples")
-
-
-class FoaSignal(FoaIR):
-    """4 x n time signal; same layout and invariants as :class:`FoaIR`."""
+            raise ValueError("FOA signal contains non-finite samples")
 
 
 def foa_gains(direction):
@@ -77,10 +70,6 @@ def encode_srir(paths, sample_rate=DEFAULT_SAMPLE_RATE, length=None):
     if length is None:
         length = sample_rate
     delays = paths.delays
-    channels = np.zeros((4, length))
-    if delays.size == 0:
-        return FoaIR(channels=channels, sample_rate=sample_rate)
-
     samples = np.rint(delays * sample_rate).astype(np.int64)
     bad = np.nonzero((samples < 0) | (samples >= length))[0]
     if bad.size:
@@ -90,9 +79,10 @@ def encode_srir(paths, sample_rate=DEFAULT_SAMPLE_RATE, length=None):
             f"({length / sample_rate:.3f} s): {worst}"
         )
     contributions = paths.amplitudes[:, None] * foa_gains(paths.directions)
+    channels = np.zeros((4, length))
     for ch in range(4):
         np.add.at(channels[ch], samples, contributions[:, ch])
-    return FoaIR(channels=channels, sample_rate=sample_rate)
+    return FoaSignal(channels=channels, sample_rate=sample_rate)
 
 
 def write_wav(path, signal):
@@ -108,9 +98,3 @@ def read_wav(path):
     if data.dtype.kind == "i":
         data = data.astype(np.float64) / float(np.iinfo(data.dtype).max)
     return FoaSignal(channels=data.T.astype(np.float64), sample_rate=int(rate))
-
-
-def direction_angles(direction):
-    """Convenience: degrees (azimuth, elevation) of a unit vector."""
-    az, el = to_spherical(direction)
-    return np.degrees(az), np.degrees(el)

@@ -83,16 +83,11 @@ class SphereGrid:
     def __len__(self):
         return self.directions.shape[0]
 
-    def angles_deg(self):
-        """(azimuth_deg, elevation_deg) arrays for all class centers."""
-        az, el = to_spherical(self.directions)
-        return np.degrees(az), np.degrees(el)
-
     def to_csv(self, path):
-        az_deg, el_deg = self.angles_deg()
+        az, el = to_spherical(self.directions)
         with open(path, "w", encoding="ascii") as f:
             f.write("index,azimuth_deg,elevation_deg\n")
-            for i, (a, e) in enumerate(zip(az_deg, el_deg)):
+            for i, (a, e) in enumerate(zip(np.degrees(az), np.degrees(el))):
                 f.write(f"{i},{a:.6f},{e:.6f}\n")
 
     def coverage_radius_deg(self, seed=0):

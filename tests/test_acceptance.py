@@ -279,7 +279,7 @@ def test_criterion_7_gradient_checks():
     details = []
     for form, target in cases:
         net = build_network(cfg, form, seed=1)
-        err, skipped = grad_check(net, x, target, return_skipped=True)
+        err, skipped = grad_check(net, x, target)
         n = param_count(net)
         details.append(f"{form.kind}: {err:.2e} (skipped {skipped}/{n} kink scalars)")
         assert err < 1e-4, details[-1]

@@ -1,3 +1,6 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,7 @@ from ambidoa.acoustics import (
     save_scenes,
     trace_paths,
 )
-from ambidoa.foa import FoaIR, encode_srir
+from ambidoa.foa import FoaSignal, encode_srir
 
 C = 343.0
 
@@ -101,6 +104,14 @@ class TestSampleScenes:
         for x, y in zip(scenes, loaded):
             np.testing.assert_allclose(x.source, y.source)
             np.testing.assert_allclose(x.room.dims, y.room.dims)
+
+    def test_scene_file_stores_every_room_field(self, tmp_path):
+        path = tmp_path / "scenes.json"
+        save_scenes(sample_scenes(4, seed=2, pairs_per_room=2), path)
+        rooms = json.loads(path.read_text())["rooms"]
+        assert len(rooms) == 2
+        for room in rooms:
+            assert set(room) - {"pairs"} == {f.name for f in fields(RoomConfig)}
 
 
 class TestImageSource:
@@ -218,12 +229,16 @@ class TestTracer:
         with pytest.raises(ValueError):
             trace_paths(demo_scene(), n_rays=10, max_bounces=1, receiver_radius=1.0)
 
+    def test_negative_max_bounces_rejected(self):
+        with pytest.raises(ValueError, match="max_bounces"):
+            trace_paths(demo_scene(), n_rays=10, max_bounces=-1, receiver_radius=0.3)
+
 
 class TestReverbOracles:
     def test_edc_of_single_impulse(self):
         ch = np.zeros((4, 100))
         ch[0, 10] = 1.0
-        edc = energy_decay_curve(FoaIR(channels=ch, sample_rate=16000))
+        edc = energy_decay_curve(FoaSignal(channels=ch, sample_rate=16000))
         assert np.all(edc[: 10 + 1] == 0.0)
         assert np.all(np.isneginf(edc[11:]))
 
@@ -231,7 +246,7 @@ class TestReverbOracles:
         rng = np.random.default_rng(0)
         ch = np.zeros((4, 4000))
         ch[0] = rng.standard_normal(4000)
-        edc = energy_decay_curve(FoaIR(channels=ch, sample_rate=16000))
+        edc = energy_decay_curve(FoaSignal(channels=ch, sample_rate=16000))
         assert edc[0] == pytest.approx(0.0, abs=1e-12)
         assert np.all(np.diff(edc) <= 1e-12)
 
@@ -239,13 +254,13 @@ class TestReverbOracles:
         rng = np.random.default_rng(1)
         ch = np.zeros((4, 1000))
         ch[0] = rng.standard_normal(1000)
-        a = energy_decay_curve(FoaIR(channels=ch, sample_rate=16000))
-        b = energy_decay_curve(FoaIR(channels=3.7 * ch, sample_rate=16000))
+        a = energy_decay_curve(FoaSignal(channels=ch, sample_rate=16000))
+        b = energy_decay_curve(FoaSignal(channels=3.7 * ch, sample_rate=16000))
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_edc_rejects_silence(self):
         with pytest.raises(ValueError):
-            energy_decay_curve(FoaIR(channels=np.zeros((4, 64)), sample_rate=16000))
+            energy_decay_curve(FoaSignal(channels=np.zeros((4, 64)), sample_rate=16000))
 
     def test_constructed_decay_slope(self):
         # noise decaying 60 dB per 0.5 s has an EDC slope of -120 dB/s
@@ -254,7 +269,7 @@ class TestReverbOracles:
         rng = np.random.default_rng(8)
         ch = np.zeros((4, fs))
         ch[0] = rng.standard_normal(fs) * 10.0 ** (-120.0 * t / 20.0)
-        edc = energy_decay_curve(FoaIR(channels=ch, sample_rate=fs))
+        edc = energy_decay_curve(FoaSignal(channels=ch, sample_rate=fs))
         rt = estimate_rt60(edc, fs)
         assert rt == pytest.approx(0.5, rel=0.03)
 

@@ -124,6 +124,18 @@ class TestPipeline:
         assert len(rows) == 12
         first = json.loads(rows[0])
         assert (feats / first["features_path"]).exists()
+        run_meta = json.loads((feats / "run.json").read_text())
+        assert run_meta["subcommand"] == "render"
+        assert run_meta["resolved"]["seed"] == 32
+
+    def test_negative_max_bounces_is_refused_before_any_ir(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        assert run([
+            "simulate", "--count", "2", "--seed", "7", "--method", "trace",
+            "--max-bounces", "-1", "--write-irs", "--out", str(sim),
+        ]) == 2
+        assert "max_bounces" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.wav"))
 
     def test_train_eval_roundtrip(self, pipeline_dir):
         feats = pipeline_dir / "feats"

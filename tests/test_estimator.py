@@ -242,7 +242,7 @@ class TestGradients:
     def test_grad_check_cartesian(self):
         net = build_network(TINY, Formulation("cartesian"), seed=1)
         target = np.array([[0.6, 0.64, 0.48], [0.0, 0.6, 0.8]])
-        err, skipped = grad_check(net, tiny_input(), target, return_skipped=True)
+        err, skipped = grad_check(net, tiny_input(), target)
         assert err < 1e-4
         assert skipped < 0.02 * param_count(net)
 
@@ -352,6 +352,14 @@ class TestTraining:
     (dict(val_fraction=1.0), "val_fraction"),
     (dict(epochs=0), "epochs"),
     (dict(epochs=-3), "epochs"),
+    (dict(epochs=2.5), "epochs"),
+    (dict(epochs=True), "epochs"),
+    (dict(batch_size=0), "batch_size"),
+    (dict(batch_size=2.5), "batch_size"),
+    (dict(batch_size=True), "batch_size"),
+    (dict(learning_rate=-1e-3), "learning_rate"),
+    (dict(learning_rate=float("nan")), "learning_rate"),
+    (dict(learning_rate=float("inf")), "learning_rate"),
 ])
 def test_train_config_rejects_bad_values(kwargs, field):
     with pytest.raises(ValueError, match=field):

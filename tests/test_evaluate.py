@@ -89,11 +89,18 @@ class TestRenderDataset:
 
     def test_workers_do_not_change_results(self, tmp_path):
         scenes = sample_scenes(4, seed=4, pairs_per_room=1, absorption=0.8)
-        a, b = tmp_path / "serial", tmp_path / "pooled"
+        a, b = tmp_path / "one", tmp_path / "four"
         render_dataset(scenes, a, FAST_RENDER, seed=8, workers=1)
         render_dataset(scenes, b, FAST_RENDER, seed=8, workers=4)
         for name in sorted(os.listdir(a)):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, tmp_path, workers):
+        scenes = sample_scenes(1, seed=1, pairs_per_room=1, absorption=0.8)
+        with pytest.raises(ValueError, match="workers"):
+            render_dataset(scenes, tmp_path / "out", FAST_RENDER, seed=0, workers=workers)
+        assert not (tmp_path / "out").exists()
 
     def test_synthetic_speech_can_be_disabled(self, tmp_path):
         scenes = sample_scenes(1, seed=1, pairs_per_room=1, absorption=0.8)
@@ -135,6 +142,33 @@ class TestRenderDataset:
         back = SampleRecord.from_json(rec.to_json())
         np.testing.assert_allclose(back.label, rec.label, atol=1e-9)
         assert back.scene_id == 7 and back.method == "image"
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    (dict(window=1), "window"),
+    (dict(window=256.0), "window"),
+    (dict(frames=0), "frames"),
+    (dict(frames=True), "frames"),
+    (dict(max_order=-1), "max_order"),
+    (dict(n_rays=0), "n_rays"),
+    (dict(max_bounces=-1), "max_bounces"),
+    (dict(max_bounces=2.5), "max_bounces"),
+    (dict(receiver_radius=0.0), "receiver_radius"),
+    (dict(receiver_radius=-0.3), "receiver_radius"),
+    (dict(ir_seconds=-1.0), "ir_seconds"),
+    (dict(ir_seconds=0.0), "ir_seconds"),
+    (dict(ir_seconds=float("inf")), "ir_seconds"),
+    (dict(ir_seconds=float("nan")), "ir_seconds"),
+    (dict(ir_seconds=1e-5), "ir_seconds"),
+    (dict(method="rays"), "method"),
+])
+def test_render_config_rejects_bad_values(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        RenderConfig(**kwargs)
+
+
+def test_render_config_edge_values_stay_valid():
+    RenderConfig(window=2, frames=1, max_order=0, n_rays=1, max_bounces=0)
 
 
 class TestPropagate:

@@ -21,7 +21,7 @@ from ambidoa.features import (
     synthetic_speech,
     write_features,
 )
-from ambidoa.foa import FoaIR, FoaSignal, encode_plane_wave
+from ambidoa.foa import FoaSignal, encode_plane_wave
 from ambidoa.geometry import great_circle, to_cartesian
 
 FS = 16000
@@ -35,7 +35,7 @@ def plane_wave_noise(direction, n=16000, seed=0):
 class TestConvolve:
     def test_delta_identity(self):
         rng = np.random.default_rng(0)
-        ir = FoaIR(channels=rng.standard_normal((4, 50)), sample_rate=FS)
+        ir = FoaSignal(channels=rng.standard_normal((4, 50)), sample_rate=FS)
         delta = np.zeros(1)
         delta[0] = 1.0
         out = convolve_foa(delta, ir)
@@ -44,7 +44,7 @@ class TestConvolve:
     def test_w_only_impulse_ir(self):
         ir_ch = np.zeros((4, 10))
         ir_ch[0, 0] = 1.0
-        ir = FoaIR(channels=ir_ch, sample_rate=FS)
+        ir = FoaSignal(channels=ir_ch, sample_rate=FS)
         rng = np.random.default_rng(1)
         dry = rng.standard_normal(100)
         out = convolve_foa(dry, ir)
@@ -54,7 +54,7 @@ class TestConvolve:
     def test_single_tap_gives_delayed_copy(self):
         ir_ch = np.zeros((4, 40))
         ir_ch[0, 32] = 0.5
-        ir = FoaIR(channels=ir_ch, sample_rate=FS)
+        ir = FoaSignal(channels=ir_ch, sample_rate=FS)
         rng = np.random.default_rng(2)
         dry = rng.standard_normal(FS)  # 1-second clip
         out = convolve_foa(dry, ir)

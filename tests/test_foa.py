@@ -3,7 +3,7 @@ import pytest
 
 from ambidoa.acoustics import PathSet
 from ambidoa.foa import (
-    FoaIR,
+    FoaSignal,
     encode_plane_wave,
     encode_srir,
     foa_gains,
@@ -38,7 +38,7 @@ def combined(*sets):
     )
 
 
-def direction_of_ir_peak(ir: FoaIR):
+def direction_of_ir_peak(ir: FoaSignal):
     """Recover the arrival direction of a single-path IR from the encoded
     gains at its loudest sample: (X, Y, Z) / (sqrt(3) W)."""
     peak = int(np.argmax(np.abs(ir.channels[0])))
@@ -167,7 +167,7 @@ class TestEncodeSrir:
 class TestWav:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
-        ir = FoaIR(channels=rng.standard_normal((4, 333)) * 0.1, sample_rate=16000)
+        ir = FoaSignal(channels=rng.standard_normal((4, 333)) * 0.1, sample_rate=16000)
         path = tmp_path / "ir.wav"
         write_wav(path, ir)
         back = read_wav(path)
@@ -178,6 +178,6 @@ class TestWav:
 
     def test_channel_count_enforced(self):
         with pytest.raises(ValueError):
-            FoaIR(channels=np.zeros((3, 10)), sample_rate=16000)
+            FoaSignal(channels=np.zeros((3, 10)), sample_rate=16000)
         with pytest.raises(ValueError):
-            FoaIR(channels=np.zeros((4, 0)), sample_rate=16000)
+            FoaSignal(channels=np.zeros((4, 0)), sample_rate=16000)
