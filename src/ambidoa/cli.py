@@ -2,10 +2,10 @@
 
     simulate -> render -> train -> eval -> compare; plus music, track, gridinfo.
 
-Every subcommand derives all randomness from --seed. simulate, render, train,
-eval, and compare with --report write a run.json capturing the resolved
-configuration next to their outputs. Exit codes: 0 on success, 1 on usage
-errors, 2 on runtime failures.
+Every subcommand derives all randomness from --seed. A command that succeeds
+gets its resolved flags recorded beside its output: run.json in the directory
+of simulate and render, <file>.run.json next to any other file written. Exit
+codes: 0 on success, 1 on usage errors, 2 on runtime failures.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .music import WINDOW as MUSIC_WINDOW, music_estimate
 from .plots import svg_line_chart
 
 FORMULATIONS = ("categorical", "cartesian", "spherical")
+PRESETS = {"paper": NetworkConfig.paper, "desk": NetworkConfig.desk}
 
 
 def _workers():
@@ -65,14 +66,17 @@ def _workers():
     return workers
 
 
-def _write_run_json(out_dir, subcommand, resolved):
-    os.makedirs(out_dir, exist_ok=True)
+def _write_run_json(written, args):
+    """Record the resolved flags beside ``written``: ``run.json`` inside an
+    output directory, ``<file>.run.json`` next to an output file."""
+    path = (os.path.join(written, "run.json") if os.path.isdir(written)
+            else written + ".run.json")
     payload = {
-        "subcommand": subcommand,
-        "resolved": {k: v for k, v in resolved.items() if k != "func"},
+        "subcommand": args.subcommand,
+        "resolved": {k: v for k, v in vars(args).items() if k != "func"},
         "version": __version__,
     }
-    with open(os.path.join(out_dir, "run.json"), "w", encoding="ascii") as f:
+    with open(path, "w", encoding="ascii") as f:
         json.dump(payload, f, sort_keys=True, indent=2)
         f.write("\n")
 
@@ -83,8 +87,27 @@ def _formulation(name, resolution):
     return Formulation(name)
 
 
-def _net_config(preset):
-    return NetworkConfig.paper() if preset == "paper" else NetworkConfig.desk()
+def _feature_geometry(config):
+    """``(frames, window)`` of the features that a network of ``config`` takes."""
+    return config.frames, (config.freq_bins - 1) * 2
+
+
+def _load_data(manifest, config, consumer):
+    """Records, features and labels of a manifest, refused unless the features
+    have the shape that ``config`` takes; ``consumer`` names the network."""
+    records = load_manifest(manifest)
+    x, y = load_dataset(records, os.path.dirname(os.path.abspath(manifest)))
+    expected = (6, config.frames, config.freq_bins)
+    if x.shape[1:] != expected:
+        raise ValueError(f"{manifest}: features of shape {x.shape[1:]} do not fit "
+                         f"{consumer}, which takes {expected}")
+    return records, x, y
+
+
+def _train_config(args, **fields):
+    """TrainConfig from the training flags that train and compare share."""
+    return TrainConfig(batch_size=args.batch_size, epochs=args.epochs, seed=args.seed,
+                       **fields)
 
 
 def _render_config(args, **fields):
@@ -116,25 +139,18 @@ def cmd_simulate(args):
             paths = propagate(scene, cfg, sample_rng(args.seed, i))
             ir = encode_srir(paths, cfg.sample_rate, cfg.ir_length)
             write_wav(os.path.join(args.out, f"ir_{i:06d}.wav"), ir)
-    _write_run_json(args.out, "simulate", vars(args))
     print(f"wrote {len(scenes)} scenes to {args.out}/scenes.json")
-    return 0
+    return args.out
 
 
 def cmd_render(args):
     scenes = load_scenes(args.scenes)
-    records = render_dataset(
-        scenes,
-        args.out,
-        _render_config(args, window=args.window, frames=args.frames),
-        seed=args.seed,
-        speech_dir=args.speech_dir,
-        allow_synthetic_speech=not args.no_synthetic_speech,
-        workers=_workers(),
-    )
-    _write_run_json(args.out, "render", vars(args))
+    frames, window = _feature_geometry(PRESETS[args.preset]())
+    cfg = _render_config(args, window=window, frames=frames)
+    records = render_dataset(scenes, args.out, cfg, seed=args.seed,
+                             speech_dir=args.speech_dir, workers=_workers())
     print(f"rendered {len(records)} samples into {args.out}")
-    return 0
+    return args.out
 
 
 def cmd_gridinfo(args):
@@ -146,24 +162,16 @@ def cmd_gridinfo(args):
     if args.csv:
         grid.to_csv(args.csv)
         print(f"class centers written to {args.csv}")
-    return 0
+    return args.csv
 
 
 def cmd_train(args):
-    records = load_manifest(args.manifest)
-    base = os.path.dirname(os.path.abspath(args.manifest))
-    x, y = load_dataset(records, base)
+    config = PRESETS[args.preset]()
+    _, x, y = _load_data(args.manifest, config, f"the {args.preset} preset")
     formulation = _formulation(args.formulation, args.resolution)
-    cfg = TrainConfig(
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        seed=args.seed,
-    )
-    net, history = train(x, y, formulation, cfg, config=_net_config(args.preset))
+    cfg = _train_config(args, learning_rate=args.learning_rate)
+    net, history = train(x, y, formulation, cfg, config=config)
     save_model(args.out, net)
-    out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
-    _write_run_json(out_dir, "train", vars(args))
     with open(args.out + ".history.json", "w", encoding="ascii") as f:
         json.dump(history, f, sort_keys=True)
         f.write("\n")
@@ -173,27 +181,23 @@ def cmd_train(args):
         f"train loss {last['train_loss']:.5f}"
         + (f", val error {last['val_error_deg']:.2f} deg" if "val_error_deg" in last else "")
     )
-    return 0
+    return args.out
 
 
 def cmd_eval(args):
     net = load_model(args.model)
-    records = load_manifest(args.manifest)
-    base = os.path.dirname(os.path.abspath(args.manifest))
-    x, y = load_dataset(records, base)
+    records, x, y = _load_data(args.manifest, net.config, f"model {args.model}")
     errors = angular_error(predict(net, x), y)
     acc = tolerance_accuracy(errors)
     with open(args.report, "w", encoding="ascii") as f:
         f.write("scene_id,error_deg\n")
         for rec, e in zip(records, errors):
             f.write(f"{rec.scene_id},{e:.4f}\n")
-    out_dir = os.path.dirname(os.path.abspath(args.report)) or "."
-    _write_run_json(out_dir, "eval", vars(args))
     print(f"samples: {len(errors)}")
     print(f"mean error: {errors.mean():.2f} deg, median: {np.median(errors):.2f} deg")
     print(f"accuracy <5/<10/<15 deg: {acc[0]:.1f}% / {acc[1]:.1f}% / {acc[2]:.1f}%")
     print(f"per-sample errors written to {args.report}")
-    return 0
+    return args.report
 
 
 def cmd_compare(args):
@@ -201,21 +205,16 @@ def cmd_compare(args):
     records_trace = load_manifest(args.trace_manifest)
     dir_image = os.path.dirname(os.path.abspath(args.image_manifest))
     dir_trace = os.path.dirname(os.path.abspath(args.trace_manifest))
-    formulations = [
-        _formulation(name, args.resolution) for name in args.formulations
-    ]
-    cfg = TrainConfig(epochs=args.epochs, seed=args.seed, batch_size=args.batch_size)
+    formulations = [_formulation(name, args.resolution) for name in args.formulations]
     rows = compare_methods(
-        records_image, dir_image, records_trace, dir_trace, formulations, cfg,
-        net_config=_net_config(args.preset),
+        records_image, dir_image, records_trace, dir_trace, formulations,
+        _train_config(args), net_config=PRESETS[args.preset](),
     )
     print(comparison_table(rows))
     if args.report:
         comparison_csv(rows, args.report)
-        out_dir = os.path.dirname(os.path.abspath(args.report)) or "."
-        _write_run_json(out_dir, "compare", vars(args))
         print(f"report written to {args.report}")
-    return 0
+    return args.report
 
 
 def cmd_music(args):
@@ -229,40 +228,36 @@ def cmd_music(args):
     for idx in top:
         caz, cel = np.degrees(to_spherical(grid.directions[idx]))
         print(f"  class {idx}: az {caz:7.2f} el {cel:7.2f}  score {scores[idx]:.4f}")
-    return 0
 
 
 def cmd_track(args):
     signal = read_wav(args.input)
     truth = to_cartesian(np.radians(args.truth_azimuth), np.radians(args.truth_elevation))
     if args.model:
+        if signal.sample_rate != RenderConfig.sample_rate:
+            raise ValueError(f"{args.input}: sample rate {signal.sample_rate} Hz; a model "
+                             f"takes features rendered at {RenderConfig.sample_rate} Hz")
         net = load_model(args.model)
         predictor = net_window_predictor(net)
-        frames, window = net.config.frames, (net.config.freq_bins - 1) * 2
-        label = "model"
+        frames, window = _feature_geometry(net.config)
     else:
         grid = build_grid(args.resolution)
         predictor = music_window_predictor(grid)
         frames, window = 25, MUSIC_WINDOW
-        label = "music"
     result = track(predictor, signal, truth, hop_frames=args.hop,
                    frames=frames, window=window)
     result.to_csv(args.out)
     if args.svg:
-        svg_line_chart(
-            args.svg,
-            result.timestamps,
-            {label: result.errors},
-            title="angular tracking error",
-            x_label="time [s]",
-            y_label="error [deg]",
-        )
+        svg_line_chart(args.svg, result.timestamps,
+                       {"model" if args.model else "music": result.errors},
+                       title="angular tracking error", x_label="time [s]",
+                       y_label="error [deg]")
         print(f"curve written to {args.svg}")
     print(
         f"{len(result.errors)} predictions, mean error "
         f"{result.errors.mean():.2f} deg; track written to {args.out}"
     )
-    return 0
+    return args.out
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +270,15 @@ def _add_propagation_flags(p):
     p.add_argument("--rays", type=int, default=RenderConfig.n_rays)
     p.add_argument("--max-bounces", type=int, default=RenderConfig.max_bounces)
     p.add_argument("--receiver-radius", type=float, default=RenderConfig.receiver_radius)
+
+
+def _add_training_flags(p):
+    p.add_argument("--preset", choices=PRESETS, default="desk")
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--resolution", type=float, default=10.0,
+                   help="grid resolution for the categorical head")
 
 
 def build_parser():
@@ -300,10 +304,8 @@ def build_parser():
     p.add_argument("--scenes", required=True)
     _add_propagation_flags(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--window", type=int, default=RenderConfig.window)
-    p.add_argument("--frames", type=int, default=RenderConfig.frames)
+    p.add_argument("--preset", choices=PRESETS, default="desk")
     p.add_argument("--speech-dir", default=None)
-    p.add_argument("--no-synthetic-speech", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_render)
 
@@ -316,13 +318,8 @@ def build_parser():
     p = sub.add_parser("train", help="train a DOA estimator")
     p.add_argument("--manifest", required=True)
     p.add_argument("--formulation", choices=FORMULATIONS, required=True)
-    p.add_argument("--preset", choices=("paper", "desk"), default="desk")
-    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    _add_training_flags(p)
     p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("--resolution", type=float, default=10.0,
-                   help="grid resolution for the categorical head")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -337,11 +334,7 @@ def build_parser():
     p.add_argument("--trace-manifest", required=True)
     p.add_argument("--formulations", nargs="+", choices=FORMULATIONS,
                    default=list(FORMULATIONS))
-    p.add_argument("--preset", choices=("paper", "desk"), default="desk")
-    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--resolution", type=float, default=10.0)
+    _add_training_flags(p)
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_compare)
 
@@ -371,10 +364,13 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        written = args.func(args)
+        if written is not None:
+            _write_run_json(written, args)
     except Exception as exc:  # surface runtime failures as exit 2
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

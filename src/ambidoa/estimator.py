@@ -88,6 +88,11 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_finite(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) < math.inf)
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Topology knobs. ``conv_channels[i]`` and ``pool_factors[i]`` describe
@@ -167,7 +172,7 @@ class NetworkConfig:
         return ch * bins
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 16
@@ -176,15 +181,15 @@ class TrainConfig:
     val_fraction: float = 0.1
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+        if not (_is_finite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(
-                f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        for name in ("batch_size", "epochs"):
+                f"learning_rate must be finite and >= 0, got {self.learning_rate!r}")
+        for name, least in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not _is_int(value) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ValueError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
+            if not _is_int(value) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not (_is_finite(self.val_fraction) and 0.0 <= self.val_fraction < 1.0):
+            raise ValueError(f"val_fraction must lie in [0, 1), got {self.val_fraction!r}")
 
 
 class Network:

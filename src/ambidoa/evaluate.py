@@ -12,7 +12,6 @@ listener to the source, reverberation notwithstanding.
 from __future__ import annotations
 
 import json
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -21,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from .acoustics import image_source_paths, trace_paths
-from .estimator import NetworkConfig, TrainConfig, _is_int, predict, train
+from .estimator import NetworkConfig, TrainConfig, _is_finite, _is_int, predict, train
 from .features import (
     babble_noise,
     convolve_foa,
@@ -81,11 +80,11 @@ class RenderConfig:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         for name in ("receiver_radius", "ir_seconds"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if not (_is_finite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        if self.ir_length < 1:
-            raise ValueError(f"ir_seconds {self.ir_seconds} holds no sample at "
-                             f"{self.sample_rate} Hz")
+        if not _is_finite(self.ir_seconds * self.sample_rate) or self.ir_length < 1:
+            raise ValueError(f"ir_seconds {self.ir_seconds} at {self.sample_rate} Hz must "
+                             "give a finite buffer of at least one sample")
 
     @property
     def ir_length(self):
@@ -236,11 +235,11 @@ def _render_one(i, scene, cfg: RenderConfig, root_entropy, clips, out_dir):
 
 
 def render_dataset(scenes, out_dir, cfg: RenderConfig, seed=0, speech_dir=None,
-                   allow_synthetic_speech=True, workers=1):
+                   workers=1):
     """Render every scene into a feature file plus a JSON-lines manifest.
 
     Speech comes from ``speech_dir`` (mono 16 kHz WAVs) when given; otherwise
-    a synthetic speech-like burst signal stands in, unless disabled. Samples
+    a synthetic speech-like burst signal stands in. Samples
     are independent and seeded per index, so ``workers > 1`` changes nothing
     but wall time. Returns the record list; the manifest is written to
     out_dir/manifest.jsonl.
@@ -249,10 +248,6 @@ def render_dataset(scenes, out_dir, cfg: RenderConfig, seed=0, speech_dir=None,
         raise ValueError(f"workers must be >= 1, got {workers}")
     check_receiver_clearance(scenes, cfg)
     clips = _speech_clips(speech_dir, cfg.sample_rate)
-    if clips is None and not allow_synthetic_speech:
-        raise ValueError(
-            "no speech directory given and synthetic speech fallback disabled"
-        )
     os.makedirs(out_dir, exist_ok=True)
     root_entropy = np.random.SeedSequence(seed).entropy
     render = partial(_render_one, cfg=cfg, root_entropy=root_entropy, clips=clips,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ambidoa.acoustics import load_scenes
-from ambidoa.cli import build_parser, main
+from ambidoa.cli import _feature_geometry, build_parser, main
 from ambidoa.estimator import (
     Formulation,
     NetworkConfig,
@@ -22,11 +22,14 @@ def run(argv):
 
 
 class TestExitCodes:
-    def test_gridinfo_success(self, capsys):
-        assert run(["gridinfo", "--resolution", "10"]) == 0
+    def test_gridinfo_success(self, capsys, tmp_path):
+        csv = tmp_path / "grid.csv"
+        assert run(["gridinfo", "--resolution", "10", "--csv", str(csv)]) == 0
         out = capsys.readouterr().out
         assert "classes: 412" in out
         assert "coverage" in out
+        assert json.loads((tmp_path / "grid.csv.run.json").read_text())["subcommand"] \
+            == "gridinfo"
 
     def test_usage_error_is_one(self):
         assert run(["train"]) == 1
@@ -45,14 +48,15 @@ def test_flag_defaults_are_the_config_defaults():
                         ("rays", "n_rays"), ("max_bounces", "max_bounces"),
                         ("receiver_radius", "receiver_radius")):
         assert render[flag] == simulate[flag] == getattr(cfg, field)
-    assert (render["window"], render["frames"]) == (cfg.window, cfg.frames)
     assert simulate["ir_seconds"] == cfg.ir_seconds
     train = vars(parser.parse_args(["train", "--manifest", "m", "--formulation",
                                     "cartesian", "--out", "o"]))
     compare = vars(parser.parse_args(["compare", "--image-manifest", "a",
                                       "--trace-manifest", "b"]))
+    assert render["preset"] == train["preset"] == compare["preset"] == "desk"
+    assert _feature_geometry(NetworkConfig.desk()) == (cfg.frames, cfg.window)
     tcfg = TrainConfig()
-    for flag in ("epochs", "batch_size"):
+    for flag in ("epochs", "batch_size", "seed"):
         assert train[flag] == compare[flag] == getattr(tcfg, flag)
     assert train["learning_rate"] == tcfg.learning_rate
 
@@ -183,6 +187,59 @@ class TestPipeline:
         assert "improv" in out
         header = report.read_text().splitlines()[0]
         assert header.startswith("method,formulation,mean_error_deg")
+        run_meta = json.loads((tmp_path / "cmp.csv.run.json").read_text())
+        assert run_meta["subcommand"] == "compare"
+
+    def test_render_takes_the_feature_shape_from_the_preset(self, pipeline_dir, tmp_path,
+                                                            capsys):
+        paper = tmp_path / "paper"
+        assert run([
+            "render", "--scenes", str(pipeline_dir / "sim" / "scenes.json"),
+            "--max-order", "1", "--preset", "paper", "--out", str(paper),
+        ]) == 0
+        manifest = paper / "manifest.jsonl"
+        assert run([
+            "train", "--manifest", str(manifest), "--formulation", "cartesian",
+            "--epochs", "1", "--out", str(tmp_path / "m.adom"),
+        ]) == 2
+        assert (f"{manifest}: features of shape (6, 25, 513) do not fit the desk "
+                "preset, which takes (6, 25, 129)") in capsys.readouterr().err
+        assert not (tmp_path / "m.adom").exists()
+        model = tmp_path / "desk.adom"
+        save_model(model, build_network(NetworkConfig.desk(), Formulation("cartesian")))
+        assert run(["eval", "--model", str(model), "--manifest", str(manifest),
+                    "--report", str(tmp_path / "e.csv")]) == 2
+        assert (f"{manifest}: features of shape (6, 25, 513) do not fit model {model}, "
+                "which takes (6, 25, 129)") in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
+        assert run(["render", "--scenes", "s.json", "--window", "1024",
+                    "--out", str(tmp_path / "o")]) == 1
+
+
+def test_readme_walkthrough_keeps_every_run_record(tmp_path, wave_file):
+    """simulate -> render -> train -> eval -> track in one work directory."""
+    work = tmp_path / "work"
+    steps = {
+        "simulate": (["--count", "6", "--seed", "1", "--absorption", "0.8",
+                      "--out", str(work / "sim")], work / "sim" / "run.json"),
+        "render": (["--scenes", str(work / "sim" / "scenes.json"), "--max-order", "1",
+                    "--seed", "2", "--out", str(work / "feats")],
+                   work / "feats" / "run.json"),
+        "train": (["--manifest", str(work / "feats" / "manifest.jsonl"),
+                   "--formulation", "cartesian", "--epochs", "1", "--seed", "3",
+                   "--out", str(work / "model.adom")], work / "model.adom.run.json"),
+        "eval": (["--model", str(work / "model.adom"),
+                  "--manifest", str(work / "feats" / "manifest.jsonl"),
+                  "--report", str(work / "errors.csv")], work / "errors.csv.run.json"),
+        "track": (["--input", str(wave_file), "--model", str(work / "model.adom"),
+                   "--truth-azimuth", "40", "--truth-elevation", "10", "--hop", "8",
+                   "--out", str(work / "track.csv")], work / "track.csv.run.json"),
+    }
+    for subcommand, (flags, _) in steps.items():
+        assert run([subcommand, *flags]) == 0
+    for subcommand, (_, record) in steps.items():
+        assert json.loads(record.read_text())["subcommand"] == subcommand
+    assert not (work / "run.json").exists()
 
 
 @pytest.fixture(scope="module")
@@ -232,3 +289,22 @@ class TestMusicAndTrack:
         assert rows[0] == "time_s,azimuth_deg,elevation_deg,error_deg"
         assert len(rows) - 1 == windows
         assert f"{windows} predictions" in capsys.readouterr().out
+
+    def test_only_music_tracks_a_recording_at_another_sample_rate(self, tmp_path,
+                                                                   capsys):
+        wav = tmp_path / "pw48k.wav"
+        rng = np.random.default_rng(41)
+        write_wav(wav, encode_plane_wave(rng.standard_normal(48000),
+                                         to_cartesian(np.radians(40), np.radians(10)),
+                                         sample_rate=48000))
+        model = tmp_path / "desk.adom"
+        save_model(model, build_network(NetworkConfig.desk(), Formulation("cartesian")))
+        flags = ["track", "--input", str(wav), "--truth-azimuth", "40",
+                 "--truth-elevation", "10", "--hop", "8"]
+        assert run(flags + ["--model", str(model),
+                            "--out", str(tmp_path / "model.csv")]) == 2
+        assert f"{wav}: sample rate 48000 Hz; a model takes features rendered at " \
+            "16000 Hz" in capsys.readouterr().err
+        assert not (tmp_path / "model.csv").exists()
+        assert run(flags + ["--out", str(tmp_path / "music.csv")]) == 0
+        assert (tmp_path / "music.csv").read_text().startswith("time_s,")

@@ -1,10 +1,11 @@
 import json
+import math
 import os
 import struct
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -151,6 +152,9 @@ def test_network_config_rejects_bad_topology(kwargs, field):
 SIZE_FIELDS = ("hidden", "lstm_layers", "fc_width", "frames", "freq_bins")
 NOT_INTEGERS = (st.booleans() | st.floats() | st.integers(1, 64).map(float)
                 | st.none() | st.text(max_size=2) | st.integers(1, 64).map(str))
+# every kind of number a config field may be handed, NaN and +/-inf included
+NUMBERS = (st.integers() | st.floats() | st.booleans()
+           | st.sampled_from([math.nan, math.inf, -math.inf]))
 
 
 @given(field=st.sampled_from(SIZE_FIELDS), value=NOT_INTEGERS)
@@ -367,7 +371,29 @@ def test_train_config_rejects_bad_values(kwargs, field):
 
 
 def test_train_config_edge_values_stay_valid():
-    TrainConfig(val_fraction=0.0, epochs=1)
+    TrainConfig(val_fraction=0.0, epochs=1, seed=0)
+
+
+def test_train_config_fields_cannot_be_assigned():
+    cfg = TrainConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.epochs = 2.5
+    assert cfg.epochs == TrainConfig.epochs
+
+
+@given(field=st.sampled_from([f.name for f in fields(TrainConfig)]), value=NUMBERS)
+def test_train_config_names_the_field_of_a_rejected_value(field, value):
+    try:
+        cfg = TrainConfig(**{field: value})
+    except ValueError as exc:
+        assert field in str(exc)
+    else:
+        assert not isinstance(value, bool)
+        if field in ("batch_size", "epochs", "seed"):
+            assert isinstance(value, int) and value >= (0 if field == "seed" else 1)
+        else:
+            assert math.isfinite(value) and value >= 0
+        assert getattr(cfg, field) == value
 
 
 def decode_one(out, form):

@@ -1,9 +1,12 @@
 import json
+import math
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ambidoa import estimator, evaluate
 from ambidoa.acoustics import PathSet, RoomConfig, Scene, sample_scenes
@@ -102,12 +105,6 @@ class TestRenderDataset:
             render_dataset(scenes, tmp_path / "out", FAST_RENDER, seed=0, workers=workers)
         assert not (tmp_path / "out").exists()
 
-    def test_synthetic_speech_can_be_disabled(self, tmp_path):
-        scenes = sample_scenes(1, seed=1, pairs_per_room=1, absorption=0.8)
-        with pytest.raises(ValueError):
-            render_dataset(scenes, tmp_path, FAST_RENDER, seed=0,
-                           allow_synthetic_speech=False)
-
     def test_speech_at_another_sample_rate_is_refused(self, tmp_path):
         from scipy.io import wavfile
 
@@ -169,6 +166,23 @@ def test_render_config_rejects_bad_values(kwargs, field):
 
 def test_render_config_edge_values_stay_valid():
     RenderConfig(window=2, frames=1, max_order=0, n_rays=1, max_bounces=0)
+
+
+@given(field=st.sampled_from([f.name for f in fields(RenderConfig)]),
+       value=(st.integers() | st.floats() | st.booleans()
+              | st.sampled_from([math.nan, math.inf, -math.inf])))
+def test_render_config_names_the_field_of_a_rejected_value(field, value):
+    try:
+        cfg = RenderConfig(**{field: value})
+    except ValueError as exc:
+        assert field in str(exc)
+    else:
+        assert not isinstance(value, bool) and field != "method"
+        if field in ("receiver_radius", "ir_seconds"):
+            assert math.isfinite(value) and value > 0
+        else:
+            assert isinstance(value, int) and value >= 0
+        assert getattr(cfg, field) == value and cfg.ir_length >= 1
 
 
 class TestPropagate:
