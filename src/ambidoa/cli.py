@@ -92,16 +92,24 @@ def _feature_geometry(config):
     return config.frames, (config.freq_bins - 1) * 2
 
 
-def _load_data(manifest, config, consumer):
-    """Records, features and labels of a manifest, refused unless the features
-    have the shape that ``config`` takes; ``consumer`` names the network."""
+def _load_records(manifest, config, consumer):
+    """Records and directory of a manifest, refused unless its features have
+    the shape that ``config`` takes; ``consumer`` names the network. Only the
+    first sample is read, so a mismatch stops before the rest is loaded."""
     records = load_manifest(manifest)
-    x, y = load_dataset(records, os.path.dirname(os.path.abspath(manifest)))
+    base = os.path.dirname(os.path.abspath(manifest))
+    shape = load_dataset(records[:1], base)[0].shape[1:]
     expected = (6, config.frames, config.freq_bins)
-    if x.shape[1:] != expected:
-        raise ValueError(f"{manifest}: features of shape {x.shape[1:]} do not fit "
+    if shape != expected:
+        raise ValueError(f"{manifest}: features of shape {shape} do not fit "
                          f"{consumer}, which takes {expected}")
-    return records, x, y
+    return records, base
+
+
+def _load_data(manifest, config, consumer):
+    """Records, features and labels of a manifest checked by :func:`_load_records`."""
+    records, base = _load_records(manifest, config, consumer)
+    return records, *load_dataset(records, base)
 
 
 def _train_config(args, **fields):
@@ -201,15 +209,12 @@ def cmd_eval(args):
 
 
 def cmd_compare(args):
-    records_image = load_manifest(args.image_manifest)
-    records_trace = load_manifest(args.trace_manifest)
-    dir_image = os.path.dirname(os.path.abspath(args.image_manifest))
-    dir_trace = os.path.dirname(os.path.abspath(args.trace_manifest))
+    config = PRESETS[args.preset]()
+    image, trace = (_load_records(manifest, config, f"the {args.preset} preset")
+                    for manifest in (args.image_manifest, args.trace_manifest))
     formulations = [_formulation(name, args.resolution) for name in args.formulations]
-    rows = compare_methods(
-        records_image, dir_image, records_trace, dir_trace, formulations,
-        _train_config(args), net_config=PRESETS[args.preset](),
-    )
+    rows = compare_methods(*image, *trace, formulations, _train_config(args),
+                           net_config=config)
     print(comparison_table(rows))
     if args.report:
         comparison_csv(rows, args.report)

@@ -59,16 +59,14 @@ def encode_plane_wave(signal, direction, sample_rate=DEFAULT_SAMPLE_RATE):
     return FoaSignal(channels=gains[:, None] * signal[None, :], sample_rate=sample_rate)
 
 
-def encode_srir(paths, sample_rate=DEFAULT_SAMPLE_RATE, length=None):
-    """Render an arrival set into a sampled 4-channel impulse response.
+def encode_srir(paths, sample_rate, length):
+    """Render an arrival set into a sampled 4-channel impulse response of
+    ``length`` samples.
 
     Each path adds amplitude * foa_gains(direction) at the sample nearest its
-    delay; superposition is linear, so path order never matters. ``length``
-    defaults to one second. Raises if any delay falls past the buffer,
-    naming the offending arrivals.
+    delay; superposition is linear, so path order never matters. Raises if
+    any delay falls past the buffer, naming the offending arrivals.
     """
-    if length is None:
-        length = sample_rate
     delays = paths.delays
     samples = np.rint(delays * sample_rate).astype(np.int64)
     bad = np.nonzero((samples < 0) | (samples >= length))[0]

@@ -218,47 +218,65 @@ class FrameFlatten(Layer):
         return dy.reshape(b, t, c, f).transpose(0, 2, 1, 3)
 
 
-class _LSTMDirection:
-    """One direction of an LSTM layer, computing on the ``{w,u,b}_{side}``
-    arrays of its BiLSTM's ``params`` and ``grads``; gate order (input,
-    forget, cell, output)."""
+class BiLSTM(Layer):
+    """Bidirectional LSTM; output concatenates both directions per frame.
 
-    def __init__(self, params, grads, side):
-        self.w, self.u, self.b = (params[f"{k}_{side}"] for k in "wub")
-        self.dw, self.du, self.db = (grads[f"{k}_{side}"] for k in "wub")
-        self.hidden = self.u.shape[1]
+    Both directions step through one time loop, stacked on a leading axis of
+    size 2: direction 0 reads the input forward in time, direction 1 reads it
+    reversed. ``w``, ``u`` and ``b`` hold both directions' weights, and
+    ``params``/``grads`` name each direction's slice ``{w,u,b}_{fwd,bwd}``.
+    Gate order (input, forget, cell, output).
+    """
 
-    def forward(self, x):
+    def __init__(self, d_in, hidden, rng):
+        h = self.hidden = hidden
+        self.w = np.empty((2, 4 * h, d_in))
+        self.u = np.empty((2, 4 * h, h))
+        self.b = np.empty((2, 4 * h))
+        self.dw, self.du, self.db = (np.zeros_like(a) for a in (self.w, self.u, self.b))
+        self.params, self.grads = {}, {}
+        for d, side in enumerate(("fwd", "bwd")):  # fwd's w, u, b are drawn before bwd's
+            for k, p, g, fan_in in (("w", self.w, self.dw, d_in),
+                                    ("u", self.u, self.du, h),
+                                    ("b", self.b, self.db, h)):
+                p[d] = _uniform_init(rng, p.shape[1:], fan_in)
+                self.params[f"{k}_{side}"] = p[d]
+                self.grads[f"{k}_{side}"] = g[d]
+
+    def forward(self, x, train=False):
         b, t, _ = x.shape
         h = self.hidden
-        hs = np.zeros((b, t, h))
+        xs = np.stack([x, x[:, ::-1]])
+        w_t, u_t = self.w.transpose(0, 2, 1), self.u.transpose(0, 2, 1)
+        hs = np.empty((2, b, t, h))
         cache = []
-        h_prev = np.zeros((b, h))
-        c_prev = np.zeros((b, h))
+        h_prev = np.zeros((2, b, h))
+        c_prev = np.zeros((2, b, h))
         for step in range(t):
-            z = x[:, step] @ self.w.T + h_prev @ self.u.T + self.b
-            i = _sigmoid(z[:, :h])
-            f = _sigmoid(z[:, h : 2 * h])
-            g = np.tanh(z[:, 2 * h : 3 * h])
-            o = _sigmoid(z[:, 3 * h :])
+            x_t = xs[:, :, step]
+            z = x_t @ w_t + h_prev @ u_t + self.b[:, None]
+            s = _sigmoid(z)
+            i, f, o = s[..., :h], s[..., h : 2 * h], s[..., 3 * h :]
+            g = np.tanh(z[..., 2 * h : 3 * h])
             c = f * c_prev + i * g
             tanh_c = np.tanh(c)
             h_now = o * tanh_c
-            hs[:, step] = h_now
-            cache.append((x[:, step], h_prev, c_prev, i, f, g, o, tanh_c))
+            hs[:, :, step] = h_now
+            cache.append((x_t, h_prev, c_prev, i, f, g, o, tanh_c))
             h_prev, c_prev = h_now, c
         self._cache = cache
-        return hs
+        return np.concatenate([hs[0], hs[1, :, ::-1]], axis=2)
 
-    def backward(self, dhs):
-        cache = self._cache
-        b, t, h = dhs.shape
-        dx = np.zeros((b, t, self.w.shape[1]))
-        dh_next = np.zeros((b, h))
-        dc_next = np.zeros((b, h))
+    def backward(self, dy):
+        b, t, _ = dy.shape
+        h = self.hidden
+        dhs = np.stack([dy[:, :, :h], dy[:, ::-1, h:]])
+        dxs = np.empty((2, b, t, self.w.shape[2]))
+        dh_next = np.zeros((2, b, h))
+        dc_next = np.zeros((2, b, h))
         for step in range(t - 1, -1, -1):
-            x_t, h_prev, c_prev, i, f, g, o, tanh_c = cache[step]
-            dh = dhs[:, step] + dh_next
+            x_t, h_prev, c_prev, i, f, g, o, tanh_c = self._cache[step]
+            dh = dhs[:, :, step] + dh_next
             do = dh * tanh_c
             dc = dc_next + dh * o * (1.0 - tanh_c**2)
             di = dc * g
@@ -272,41 +290,15 @@ class _LSTMDirection:
                     dg * (1 - g**2),
                     do * o * (1 - o),
                 ],
-                axis=1,
+                axis=2,
             )
-            self.dw += dz.T @ x_t
-            self.du += dz.T @ h_prev
-            self.db += dz.sum(axis=0)
-            dx[:, step] = dz @ self.w
+            dz_t = dz.transpose(0, 2, 1)
+            self.dw += dz_t @ x_t
+            self.du += dz_t @ h_prev
+            self.db += dz.sum(axis=1)
+            dxs[:, :, step] = dz @ self.w
             dh_next = dz @ self.u
-        return dx
-
-
-class BiLSTM(Layer):
-    """Bidirectional LSTM; output concatenates both directions per frame."""
-
-    def __init__(self, d_in, hidden, rng):
-        h = hidden
-        params = {}
-        for side in ("fwd", "bwd"):
-            params[f"w_{side}"] = _uniform_init(rng, (4 * h, d_in), d_in)
-            params[f"u_{side}"] = _uniform_init(rng, (4 * h, h), h)
-            params[f"b_{side}"] = _uniform_init(rng, (4 * h,), h)
-        self._declare(**params)
-        self.fwd = _LSTMDirection(self.params, self.grads, "fwd")
-        self.bwd = _LSTMDirection(self.params, self.grads, "bwd")
-        self.hidden = hidden
-
-    def forward(self, x, train=False):
-        fwd = self.fwd.forward(x)
-        bwd = self.bwd.forward(x[:, ::-1])[:, ::-1]
-        return np.concatenate([fwd, bwd], axis=2)
-
-    def backward(self, dy):
-        h = self.hidden
-        dx_f = self.fwd.backward(dy[:, :, :h])
-        dx_b = self.bwd.backward(dy[:, ::-1, h:])[:, ::-1]
-        return dx_f + dx_b
+        return dxs[0] + dxs[1, :, ::-1]
 
 
 class TimeDense(Layer):

@@ -95,7 +95,8 @@ class TestPipeline:
         ]) == 0
         cfg = RenderConfig(method="trace", n_rays=2000)
         for i, scene in enumerate(load_scenes(sim / "scenes.json")):
-            expected = encode_srir(propagate(scene, cfg, sample_rng(7, i)))
+            expected = encode_srir(propagate(scene, cfg, sample_rng(7, i)),
+                                   cfg.sample_rate, cfg.ir_length)
             written = read_wav(sim / f"ir_{i:06d}.wav")
             np.testing.assert_array_equal(
                 written.channels, expected.channels.astype(np.float32)
@@ -212,6 +213,11 @@ class TestPipeline:
         assert (f"{manifest}: features of shape (6, 25, 513) do not fit model {model}, "
                 "which takes (6, 25, 129)") in capsys.readouterr().err
         assert not (tmp_path / "e.csv").exists()
+        assert run(["compare", "--image-manifest", str(manifest), "--trace-manifest",
+                    str(manifest), "--epochs", "1", "--report", str(tmp_path / "c.csv")]) == 2
+        assert (f"{manifest}: features of shape (6, 25, 513) do not fit the desk "
+                "preset, which takes (6, 25, 129)") in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
         assert run(["render", "--scenes", "s.json", "--window", "1024",
                     "--out", str(tmp_path / "o")]) == 1
 

@@ -257,32 +257,49 @@ class TestGradients:
             backward(net, tiny_input(), np.array([[1.0, 0, 0], [0, 1.0, 0]]))
 
 
-# two desk training steps; prints a digest of every gradient
-TWO_DESK_STEPS = """
+# training steps at batch 16 on random features; prints a digest of every
+# gradient. Arguments: preset, formulation, sample count.
+TRAINING_STEPS = """
 import hashlib
+import sys
 import numpy as np
 from ambidoa.estimator import Formulation, NetworkConfig, TrainConfig, train
-desk = NetworkConfig.desk()
+from ambidoa.geometry import build_grid
+preset, kind, n = sys.argv[1], sys.argv[2], int(sys.argv[3])
+config = getattr(NetworkConfig, preset)()
 rng = np.random.default_rng(0)
-x = rng.uniform(-0.8, 0.8, (32, 6, desk.frames, desk.freq_bins))
-u = rng.standard_normal((32, 3))
+x = rng.uniform(-0.8, 0.8, (n, 6, config.frames, config.freq_bins))
+u = rng.standard_normal((n, 3))
 u /= np.linalg.norm(u, axis=1, keepdims=True)
+grid = build_grid(10.0) if kind == "categorical" else None
 cfg = TrainConfig(batch_size=16, epochs=1, val_fraction=0.0)
-net, _ = train(x, u, Formulation("cartesian"), cfg, config=desk)
+net, _ = train(x, u, Formulation(kind, grid), cfg, config=config)
 for name, g in net.grads.items():
     print(name, hashlib.sha256(g.tobytes()).hexdigest())
 """
 
+TIME_DENSE_SPLIT = ("FOUND in CHANGES.md: the TimeDense.backward weight-gradient einsum, "
+                    "a GEMM over K = batch x frames = 400, gives different bits under 1 "
+                    "and 2 BLAS threads when its output is wide (128 x 128 at the paper "
+                    "preset, 412 x 16 for the 10-degree categorical head)")
+TIME_DENSE_XFAIL = pytest.mark.xfail(strict=True, raises=AssertionError,
+                                     reason=TIME_DENSE_SPLIT)
 
-def test_gradients_do_not_depend_on_the_blas_thread_count():
+
+@pytest.mark.parametrize("preset, kind, n", [
+    pytest.param("desk", "cartesian", 32, id="desk"),
+    pytest.param("paper", "cartesian", 16, id="paper", marks=TIME_DENSE_XFAIL),
+    pytest.param("desk", "categorical", 16, id="desk-categorical", marks=TIME_DENSE_XFAIL),
+])
+def test_gradients_do_not_depend_on_the_blas_thread_count(preset, kind, n):
     path = [os.path.dirname(os.path.dirname(ambidoa.__file__))]
     path += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
     digests = []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                "PYTHONPATH": os.pathsep.join(path)}
-        run = subprocess.run([sys.executable, "-c", TWO_DESK_STEPS], env=env,
-                             capture_output=True, text=True, check=True)
+        run = subprocess.run([sys.executable, "-c", TRAINING_STEPS, preset, kind, str(n)],
+                             env=env, capture_output=True, text=True, check=True)
         digests.append(run.stdout.splitlines())
     assert digests[0], "the training script printed no gradient"
     differ = [a.split()[0] for a, b in zip(*digests) if a != b]

@@ -197,7 +197,72 @@ class TestMaxPoolFreq:
         np.testing.assert_array_equal(dx, [[[[0.0, 2.0, 0.0, 0.0, 7.0, 0.0, 0.0, 0.0, 0.0]]]])
 
 
+def lstm_direction(x, w, u, bias, dhs):
+    """One LSTM direction, stepped through time on its own: outputs, input
+    gradient and (dw, du, db) for the output gradient ``dhs``."""
+    b, t, _ = x.shape
+    h = u.shape[1]
+    hs = np.zeros((b, t, h))
+    cache = []
+    h_prev = np.zeros((b, h))
+    c_prev = np.zeros((b, h))
+    for step in range(t):
+        z = x[:, step] @ w.T + h_prev @ u.T + bias
+        i = nn._sigmoid(z[:, :h])
+        f = nn._sigmoid(z[:, h : 2 * h])
+        g = np.tanh(z[:, 2 * h : 3 * h])
+        o = nn._sigmoid(z[:, 3 * h :])
+        c = f * c_prev + i * g
+        tanh_c = np.tanh(c)
+        h_now = o * tanh_c
+        hs[:, step] = h_now
+        cache.append((x[:, step], h_prev, c_prev, i, f, g, o, tanh_c))
+        h_prev, c_prev = h_now, c
+    dx = np.zeros_like(x)
+    dw, du, db = np.zeros_like(w), np.zeros_like(u), np.zeros_like(bias)
+    dh_next = np.zeros((b, h))
+    dc_next = np.zeros((b, h))
+    for step in range(t - 1, -1, -1):
+        x_t, h_prev, c_prev, i, f, g, o, tanh_c = cache[step]
+        dh = dhs[:, step] + dh_next
+        do = dh * tanh_c
+        dc = dc_next + dh * o * (1.0 - tanh_c**2)
+        dc_next = dc * f
+        dz = np.concatenate([dc * g * i * (1 - i), dc * c_prev * f * (1 - f),
+                             dc * i * (1 - g**2), do * o * (1 - o)], axis=1)
+        dw += dz.T @ x_t
+        du += dz.T @ h_prev
+        db += dz.sum(axis=0)
+        dx[:, step] = dz @ w
+        dh_next = dz @ u
+    return hs, dx, (dw, du, db)
+
+
+# (batch, frames, d_in, hidden)
+LSTM_SHAPES = [(1, 5, 4, 3), (3, 1, 4, 3), (2, 6, 3, 5), (16, 25, 32, 16)]
+
+
 class TestBiLSTM:
+    @pytest.mark.parametrize("shape", LSTM_SHAPES)
+    def test_matches_two_separate_directions(self, shape):
+        b, t, d_in, hidden = shape
+        rng = np.random.default_rng(18)
+        layer = nn.BiLSTM(d_in, hidden, rng)
+        x = rng.standard_normal((b, t, d_in))
+        dy = rng.standard_normal((b, t, 2 * hidden))
+        y = layer.forward(x, train=True)
+        dx = layer.backward(dy)
+        p = layer.params
+        fwd, dx_f, grads_f = lstm_direction(x, p["w_fwd"], p["u_fwd"], p["b_fwd"],
+                                            dy[:, :, :hidden])
+        bwd, dx_b, grads_b = lstm_direction(x[:, ::-1], p["w_bwd"], p["u_bwd"],
+                                            p["b_bwd"], dy[:, ::-1, hidden:])
+        np.testing.assert_array_equal(y, np.concatenate([fwd, bwd[:, ::-1]], axis=2))
+        np.testing.assert_array_equal(dx, dx_f + dx_b[:, ::-1])
+        for side, grads in (("fwd", grads_f), ("bwd", grads_b)):
+            for k, expected in zip("wub", grads):
+                np.testing.assert_array_equal(layer.grads[f"{k}_{side}"], expected)
+
     def test_output_shape(self):
         rng = np.random.default_rng(9)
         layer = nn.BiLSTM(6, 5, rng)
