@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -372,12 +372,9 @@ def music_window_predictor(grid):
     from .music import music_spectrum, spatial_covariance
 
     def predictor(spec, frames, hop_frames):
-        preds = []
-        for s in range(0, spec.n_frames - frames + 1, hop_frames):
-            window = replace(spec, bins=spec.bins[:, s : s + frames])
-            scores = music_spectrum(spatial_covariance(window), grid)
-            preds.append(grid.directions[int(np.argmax(scores))])
-        return np.stack(preds)
+        covs = (spatial_covariance(spec, slice(s, s + frames))
+                for s in range(0, spec.n_frames - frames + 1, hop_frames))
+        return grid.directions[[np.argmax(music_spectrum(c, grid)) for c in covs]]
 
     return predictor
 

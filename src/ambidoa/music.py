@@ -1,9 +1,11 @@
 """MUSIC direction estimation on 4-channel FOA input.
 
-The steering vector for a candidate direction is the FOA gain vector itself,
-so a single plane wave makes each per-bin covariance rank one and the noise
-subspace orthogonal to the steering vector at the true direction. Scores are
-averaged over a speech-band bin range after per-bin normalization.
+The steering vector a for a candidate direction is the FOA gain vector itself,
+so a single plane wave makes each per-bin covariance rank one and its noise
+subspace E_n orthogonal to a at the true direction. With one source,
+||E_n^H a||^2 = ||a||^2 - |e_1^H a|^2 for the signal eigenvector e_1 (Schmidt
+1986; Stoica & Nehorai 1989); near a peak that difference cancels to about
+1e-16 * ||a||^2, far below ``SCORE_EPS``.
 """
 
 from __future__ import annotations
@@ -52,32 +54,33 @@ def band_to_bins(spec, band_hz=DEFAULT_BAND_HZ):
     return sel
 
 
-def spatial_covariance(spec):
-    """R_f = (1/T) sum_t x(t, f) x(t, f)^H for each bin of ``DEFAULT_BAND_HZ``."""
-    if spec.n_frames < 2:
-        raise ValueError("need at least 2 frames to average a covariance")
+def spatial_covariance(spec, frames=slice(None)):
+    """R_f = (1/T) sum_t x(t, f) x(t, f)^H over ``frames``, per ``DEFAULT_BAND_HZ`` bin."""
     bin_range = band_to_bins(spec)
-    x = spec.bins[:, :, bin_range]  # 4 x T x B
-    mats = np.einsum("ctb,dtb->bcd", x, np.conj(x), optimize=True) / spec.n_frames
+    x = spec.bins[:, frames, bin_range]  # 4 x T x B
+    if x.shape[1] < 2:
+        raise ValueError("need at least 2 frames to average a covariance")
+    mats = np.einsum("ctb,dtb->bcd", x, np.conj(x), optimize=True) / x.shape[1]
     return CovarianceSet(matrices=mats, frequencies=spec.frequencies()[bin_range])
 
 
 def music_spectrum(cov: CovarianceSet, grid: SphereGrid):
     """Noise-subspace scores per grid class, one source assumed.
 
-    All bins are eigendecomposed in one stacked ``eigh``; per bin the three
-    eigenvectors beyond the largest form the noise subspace E_n, and
-    score(d) = 1 / (||E_n^H a(d)||^2 + eps) with a(d) the FOA gain vector.
-    Per-bin scores are normalized to a unit maximum before averaging so loud
-    bins cannot dominate.
+    All bins are eigendecomposed in one stacked ``eigh``. With a(d) the FOA
+    gain vector and e_1 the eigenvector of the largest eigenvalue, score(d) =
+    1 / (max(||a||^2 - |e_1^H a|^2, 0) + eps) = 1 / (||E_n^H a||^2 + eps); near
+    a peak the difference cancels to about 1e-16 * ||a||^2, far below
+    ``SCORE_EPS`` = 1e-12. Per-bin scores are averaged over the band after
+    normalization to a unit maximum, so loud bins cannot dominate.
     """
     steering = foa_gains(grid.directions)  # (n_classes, 4) real
-    vals, vecs = np.linalg.eigh(cov.matrices)
+    vals, vecs = np.linalg.eigh(cov.matrices)  # ascending, so e_1 = vecs[:, :, 3]
     if not np.all(np.isfinite(vals)):
         raise np.linalg.LinAlgError("eigendecomposition produced non-finite values")
-    noise = vecs[:, :, :3]  # eigh sorts ascending
-    proj = np.abs(steering @ np.conj(noise)) ** 2  # (bins, n_classes, 3)
-    bin_scores = 1.0 / (proj.sum(axis=2) + SCORE_EPS)
+    norms = np.einsum("ij,ij->i", steering, steering)  # ||a||^2 per class
+    proj = np.maximum(norms - np.abs(np.conj(vecs[:, :, 3]) @ steering.T) ** 2, 0.0)
+    bin_scores = 1.0 / (proj + SCORE_EPS)
     return (bin_scores / bin_scores.max(axis=1, keepdims=True)).sum(axis=0) / len(bin_scores)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ambidoa import estimator, evaluate
+from ambidoa import estimator, evaluate, music
 from ambidoa.acoustics import PathSet, RoomConfig, Scene, sample_scenes
 from ambidoa.estimator import (
     Formulation,
@@ -36,7 +36,7 @@ from ambidoa.evaluate import (
     tolerance_accuracy,
     track,
 )
-from ambidoa.features import intensity_features, stft
+from ambidoa.features import Spectrogram, intensity_features, stft
 from ambidoa.foa import encode_plane_wave, encode_srir
 from ambidoa.geometry import build_grid, great_circle, to_cartesian
 from ambidoa.music import music_spectrum, spatial_covariance
@@ -335,6 +335,33 @@ class TestTrack:
             window = replace(spec, bins=spec.bins[:, s : s + 25])
             scores = music_spectrum(spatial_covariance(window), grid)
             assert np.array_equal(pred, grid.directions[int(np.argmax(scores))])
+
+    @pytest.mark.parametrize("hop_frames", [1, 4])
+    def test_music_track_cuts_no_window_spectrogram(self, hop_frames, monkeypatch):
+        rng = np.random.default_rng(9)
+        u = to_cartesian(-1.1, 0.6)
+        sig = encode_plane_wave(rng.standard_normal(20000), u, 16000)
+        spectrograms, covariances = [], []
+        post_init, covariance = Spectrogram.__post_init__, music.spatial_covariance
+
+        def counted_post_init(spec):
+            spectrograms.append(np.shape(spec.bins)[1])
+            post_init(spec)
+
+        def counted_covariance(spec, frames=slice(None)):
+            covariances.append(frames)
+            return covariance(spec, frames)
+
+        monkeypatch.setattr(Spectrogram, "__post_init__", counted_post_init)
+        monkeypatch.setattr(music, "spatial_covariance", counted_covariance)
+        result = track(music_window_predictor(build_grid(10.0)), sig, u,
+                       hop_frames=hop_frames)
+        monkeypatch.undo()
+        total = (20000 - 1024) // 512 + 1
+        starts = range(0, total - 24, hop_frames)
+        assert len(result.predictions) == len(starts)
+        assert spectrograms == [total]
+        assert covariances == [slice(s, s + 25) for s in starts]
 
     def test_huge_hop_gives_single_prediction(self):
         rng = np.random.default_rng(2)

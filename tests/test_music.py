@@ -90,11 +90,42 @@ class TestMusicSpectrum:
         scores = np.zeros(len(GRID))
         for r in cov.matrices:
             _, vecs = np.linalg.eigh(r)
-            proj = np.abs(steering @ np.conj(vecs[:, :3])) ** 2
-            bin_scores = 1.0 / (proj.sum(axis=1) + SCORE_EPS)
+            norms = np.einsum("ij,ij->i", steering, steering)
+            proj = np.maximum(norms - np.abs(np.conj(vecs[:, 3]) @ steering.T) ** 2, 0.0)
+            bin_scores = 1.0 / (proj + SCORE_EPS)
             scores += bin_scores / bin_scores.max()
         assert len(cov.matrices) > 100
         assert np.array_equal(music_spectrum(cov, GRID), scores / len(cov.matrices))
+
+    @pytest.mark.parametrize("kind", ["random-psd", "plane-wave-plus-noise"])
+    def test_signal_eigenvector_identity_matches_noise_subspace(self, kind):
+        rng = np.random.default_rng(12)
+        if kind == "random-psd":
+            z = rng.standard_normal((60, 4, 4)) + 1j * rng.standard_normal((60, 4, 4))
+            mats = z @ np.conj(np.transpose(z, (0, 2, 1)))
+        else:
+            sig = mix_noise(plane_wave(GRID.directions[200], seed=13),
+                            speech_shaped_noise(16000, seed=14), 5.0)
+            mats = spatial_covariance(stft(sig, 25)).matrices
+        steering = foa_gains(GRID.directions)
+        assert np.allclose(np.sum(steering**2, axis=1), 4.0)
+        _, vecs = np.linalg.eigh(mats)
+        noise = np.sum(np.abs(steering @ np.conj(vecs[:, :, :3])) ** 2, axis=2)
+        one = 4.0 - np.abs(np.conj(vecs[:, :, 3]) @ steering.T) ** 2
+        assert noise.shape == (len(mats), len(GRID))
+        assert np.abs(one - noise).max() <= 1e-12
+
+    def test_noiseless_plane_wave_peaks_at_its_class(self):
+        center = GRID.directions[137]
+        cov = spatial_covariance(stft(plane_wave(center, seed=15), 25))
+        # at the true direction the subtraction cancels to rounding and falls
+        # below zero in some bins, where the clamp holds it at 0
+        _, vecs = np.linalg.eigh(cov.matrices)
+        a = foa_gains(center)
+        assert (a @ a - np.abs(np.conj(vecs[:, :, 3]) @ a) ** 2).min() < 0.0
+        scores = music_spectrum(cov, GRID)
+        assert np.all(np.isfinite(scores)) and np.all(scores > 0.0)
+        assert int(np.argmax(scores)) == 137
 
     def test_covariance_set_validates_hermitian(self):
         bad = np.zeros((2, 4, 4), dtype=complex)
