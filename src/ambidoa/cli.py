@@ -13,9 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .acoustics import load_scenes, sample_scenes, save_scenes
@@ -52,6 +54,7 @@ from .music import WINDOW as MUSIC_WINDOW, music_estimate
 from .plots import svg_line_chart
 
 FORMULATIONS = ("categorical", "cartesian", "spherical")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 PRESETS = {"paper": NetworkConfig.paper, "desk": NetworkConfig.desk}
 
 
@@ -66,12 +69,30 @@ def _workers():
     return workers
 
 
-def _write_run_json(written, args):
-    """Record the resolved flags beside ``written``: ``run.json`` inside an
-    output directory, ``<file>.run.json`` next to an output file."""
+def _environment():
+    """What a run ran on: interpreter, numeric libraries, the BLAS and its
+    thread settings (None where unset), and CPU count. No timings, so a rerun
+    records the same block."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "thread_vars": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
+        "ambidoa_threads": _workers(),
+        "cpu_count": os.cpu_count(),
+    }
+
+
+def _write_run_json(written, args, env):
+    """Record the resolved flags and the environment ``env`` beside
+    ``written``: ``run.json`` inside an output directory, ``<file>.run.json``
+    next to an output file."""
     path = (os.path.join(written, "run.json") if os.path.isdir(written)
             else written + ".run.json")
     payload = {
+        "env": env,
         "subcommand": args.subcommand,
         "resolved": {k: v for k, v in vars(args).items() if k != "func"},
         "version": __version__,
@@ -369,9 +390,10 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        env = _environment()  # a bad AMBIDOA_THREADS stops any command here
         written = args.func(args)
         if written is not None:
-            _write_run_json(written, args)
+            _write_run_json(written, args, env)
     except Exception as exc:  # surface runtime failures as exit 2
         print(f"error: {exc}", file=sys.stderr)
         return 2

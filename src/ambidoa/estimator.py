@@ -333,13 +333,16 @@ def labels_for(formulation: Formulation, unit_vectors):
 
 def backward(net: Network, x, target):
     """Loss and analytic parameter gradients for a batch of inputs; raises if
-    any gradient turns non-finite, naming the parameter."""
+    any gradient turns non-finite, naming the parameter. The first layer, a
+    ``Conv2d``, builds no gradient for the input features, which nothing
+    reads."""
     for g in net.grads.values():
         g[...] = 0.0
     out = net.forward(x, train=True)
     loss, dout = _loss_for(net.formulation)(out, target, with_grad=True)
-    for layer in reversed(net.layers):
+    for layer in net.layers[:0:-1]:
         dout = layer.backward(dout)
+    net.layers[0].backward(dout, need_dx=False)
     for name, g in net.grads.items():
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in {name}")
@@ -588,7 +591,8 @@ def save_model(path, net: Network):
 
 def load_model(path):
     """The network :func:`save_model` wrote to ``path``. A malformed header,
-    config blob or payload raises ValueError naming the file."""
+    config blob or payload, or a non-finite parameter or buffer, raises
+    ValueError naming the file."""
     from .geometry import build_grid
 
     with open(path, "rb") as f:
@@ -631,7 +635,9 @@ def load_model(path):
         raise ValueError(f"{path}: payload holds {len(payload)} bytes, not {expected}")
     data = np.frombuffer(payload, dtype="<f8")
     offset = 0
-    for v in arrays:
+    for name, v in zip([*net.params, *net.buffers], arrays):
         v[...] = data[offset : offset + v.size].reshape(v.shape)
         offset += v.size
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{path}: {name} holds non-finite values")
     return net

@@ -88,8 +88,9 @@ class FeatureTensor:
         if self.values.ndim != 3 or self.values.shape[0] != 6:
             raise ValueError(f"expected 6 x frames x bins, got {self.values.shape}")
         bound = np.sqrt(3.0) / 2.0 + 1e-9
-        if np.abs(self.values).max(initial=0.0) > bound:
-            raise ValueError("intensity features exceed the sqrt(3)/2 bound")
+        if not np.all(np.abs(self.values) <= bound):  # NaN fails the comparison
+            raise ValueError("intensity features must be finite and within "
+                             "+/-sqrt(3)/2")
 
 
 def convolve_foa(dry, ir: FoaSignal):
@@ -287,4 +288,7 @@ def read_features(path):
         raise ValueError(f"{path}: payload holds {len(payload)} bytes, "
                          f"not {4 * d0 * d1 * d2}")
     values = np.frombuffer(payload, dtype="<f4").reshape(d0, d1, d2)
-    return FeatureTensor(values=values.astype(np.float64))
+    try:
+        return FeatureTensor(values=values.astype(np.float64))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

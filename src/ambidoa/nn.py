@@ -38,12 +38,12 @@ def _uniform_init(rng, shape, fan_in):
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function that never overflows: exp(-|x|) is exp(-x) where
+    x >= 0 and exp(x) elsewhere, so the result is 1/(1 + e^-x) or
+    e^x/(1 + e^x), bit for bit, without gathering either half."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 class Layer:
@@ -65,7 +65,9 @@ class Conv2d(Layer):
     """3x3 same-padded convolution over (frames, bins), lowered to one GEMM
     per sample: im2col gathers a (c_in*9, frames*bins) column matrix, and
     col2im scatters its gradient back. Columns are built for one sample at a
-    time, so the buffer never holds the whole batch."""
+    time, so the buffer never holds the whole batch. ``backward(dy,
+    need_dx=False)`` builds only the parameter gradients: the network's first
+    layer has no use for the gradient of its input features."""
 
     def __init__(self, c_in, c_out, rng):
         self.c_out = c_out
@@ -97,26 +99,29 @@ class Conv2d(Layer):
         out += self.params["b"][None, :, None, None]
         return out
 
-    def backward(self, dy):
+    def backward(self, dy, need_dx=True):
+        """Accumulate the weight and bias gradients; return the input gradient,
+        or None without building it when ``need_dx`` is False."""
         xpad = self._xpad
         b, c, tp, fp = xpad.shape
         t, f = tp - 2, fp - 2
         w = self.params["w"].reshape(self.c_out, c * 9)
         dw = self.grads["w"].reshape(self.c_out, c * 9)  # a view: += accumulates
         cols = np.empty((c, 3, 3, t, f))
-        dxpad = np.zeros_like(xpad)
+        dxpad = np.zeros_like(xpad) if need_dx else None
         for i in range(b):
             self._im2col(xpad[i], cols)
             dy_i = dy[i].reshape(self.c_out, t * f)
             cols_i = cols.reshape(c * 9, t * f)
             for k in range(0, t * f, K_CHUNK):  # fixed chunks, summed in order
                 dw += dy_i[:, k : k + K_CHUNK] @ cols_i[:, k : k + K_CHUNK].T
-            dcols = (w.T @ dy_i).reshape(c, 3, 3, t, f)
-            for dt in range(3):
-                for df in range(3):
-                    dxpad[i, :, dt : dt + t, df : df + f] += dcols[:, dt, df]
+            if need_dx:
+                dcols = (w.T @ dy_i).reshape(c, 3, 3, t, f)
+                for dt in range(3):
+                    for df in range(3):
+                        dxpad[i, :, dt : dt + t, df : df + f] += dcols[:, dt, df]
         self.grads["b"] += dy.sum(axis=(0, 2, 3))
-        return dxpad[:, :, 1:-1, 1:-1]
+        return dxpad[:, :, 1:-1, 1:-1] if need_dx else None
 
 
 class BatchNorm2d(Layer):

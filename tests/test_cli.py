@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ambidoa.acoustics import load_scenes
-from ambidoa.cli import _feature_geometry, build_parser, main
+from ambidoa.cli import BLAS_THREAD_VARS, _feature_geometry, build_parser, main
 from ambidoa.estimator import (
     Formulation,
     NetworkConfig,
@@ -244,8 +244,46 @@ def test_readme_walkthrough_keeps_every_run_record(tmp_path, wave_file):
     for subcommand, (flags, _) in steps.items():
         assert run([subcommand, *flags]) == 0
     for subcommand, (_, record) in steps.items():
-        assert json.loads(record.read_text())["subcommand"] == subcommand
+        meta = json.loads(record.read_text())
+        assert meta["subcommand"] == subcommand
+        assert sorted(meta["env"]) == ENV_KEYS
+        assert sorted(meta["env"]["blas"]) == ["name", "version"]
+        assert sorted(meta["env"]["thread_vars"]) == sorted(BLAS_THREAD_VARS)
     assert not (work / "run.json").exists()
+
+
+ENV_KEYS = sorted(["python", "numpy", "scipy", "blas", "thread_vars",
+                   "ambidoa_threads", "cpu_count"])
+
+
+def test_run_record_names_its_environment_and_reruns_identically(tmp_path, monkeypatch):
+    monkeypatch.setenv("AMBIDOA_THREADS", "2")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    commands = (
+        (["gridinfo", "--resolution", "30", "--csv", str(tmp_path / "grid.csv")],
+         tmp_path / "grid.csv.run.json"),
+        (["simulate", "--count", "2", "--seed", "4", "--out", str(tmp_path / "sim")],
+         tmp_path / "sim" / "run.json"),
+    )
+    for argv, record in commands:
+        assert run(argv) == 0
+        first = record.read_bytes()
+        assert run(argv) == 0
+        assert record.read_bytes() == first
+        env = json.loads(first)["env"]
+        assert sorted(env) == ENV_KEYS
+        assert env["numpy"] == np.__version__
+        assert env["ambidoa_threads"] == 2
+        assert env["thread_vars"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert env["thread_vars"]["MKL_NUM_THREADS"] is None
+
+
+def test_bad_thread_count_stops_any_command(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("AMBIDOA_THREADS", "0")
+    assert run(["gridinfo", "--resolution", "30", "--csv", str(tmp_path / "g.csv")]) == 2
+    assert "AMBIDOA_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
 
 
 @pytest.fixture(scope="module")

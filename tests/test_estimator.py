@@ -250,6 +250,24 @@ class TestGradients:
         assert err < 1e-4
         assert skipped < 0.02 * param_count(net)
 
+    def test_first_layer_builds_no_input_gradient(self):
+        desk = NetworkConfig.desk()
+        net = build_network(desk, Formulation("cartesian"), seed=1)
+        calls = []
+
+        def spy(index, original):
+            def traced(dy, **kwargs):
+                calls.append((index, kwargs))
+                return original(dy, **kwargs)
+            return traced
+
+        for index, layer in enumerate(net.layers):
+            layer.backward = spy(index, layer.backward)
+        x = np.random.default_rng(2).uniform(-0.8, 0.8, (2, 6, desk.frames, desk.freq_bins))
+        backward(net, x, np.array([[0.6, 0.64, 0.48], [0.0, 0.6, 0.8]]))
+        assert sorted(index for index, _ in calls) == list(range(len(net.layers)))
+        assert [(index, kw) for index, kw in calls if kw] == [(0, {"need_dx": False})]
+
     def test_backward_reports_nonfinite(self):
         net = build_network(TINY, Formulation("cartesian"), seed=1)
         net.params["0.Conv2d.w"][0, 0, 0, 0] = np.nan
@@ -649,6 +667,20 @@ class TestCheckpoints:
         raw = path.read_bytes()
         path.write_bytes(_with_blob(raw, bad_blob(_meta(raw))))
         with pytest.raises(ValueError, match="model.adom: bad config blob"):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_non_finite_payload_names_the_file_and_array(self, tmp_path, value, where):
+        path = self._saved(tmp_path)
+        raw = bytearray(path.read_bytes())
+        net = load_model(path)
+        # the payload is every parameter, then every buffer, in registry order
+        name = next(iter(net.params)) if where == "first" else [*net.buffers][-1]
+        offset = 12 + struct.unpack("<I", raw[8:12])[0] if where == "first" else len(raw) - 8
+        raw[offset : offset + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=f"model.adom: {name} holds non-finite"):
             load_model(path)
 
     @given(data=st.data())

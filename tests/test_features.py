@@ -1,4 +1,5 @@
 import os
+import struct
 import tempfile
 
 import numpy as np
@@ -285,6 +286,17 @@ class TestFeatureContainer:
                 with pytest.raises(ValueError) as err:
                     read_features(path)
                 assert path in str(err.value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_names_the_file(self, tmp_path, value):
+        path = tmp_path / "sample.adoa"
+        write_features(path, FeatureTensor(values=np.zeros((6, 3, 5))))
+        raw = bytearray(path.read_bytes())
+        raw[20 + 4 * 7 : 20 + 4 * 8] = struct.pack("<f", value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="sample.adoa: intensity features must "
+                                             "be finite"):
+            read_features(path)
 
     def test_bound_enforced_on_construction(self):
         bad = np.full((6, 2, 4), 1.5)

@@ -2,6 +2,7 @@
 finite differences."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,56 @@ class TestConv2d:
         finally:
             tracemalloc.stop()
         assert peak < 30e6, f"peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("shape", [(16, 6, 8, 25, 129), (2, 3, 4, 5, 8)],
+                             ids=["desk-first-stage", "tiny"])
+    def test_skipped_input_gradient_keeps_parameter_gradients(self, shape):
+        b, c_in, c_out, t, f = shape
+        rng = np.random.default_rng(17)
+        layer = nn.Conv2d(c_in, c_out, rng)
+        x = rng.standard_normal((b, c_in, t, f))
+        dy = rng.standard_normal((b, c_out, t, f))
+        layer.forward(x, train=True)
+        assert layer.backward(dy).shape == x.shape
+        full = {name: g.copy() for name, g in layer.grads.items()}
+        for g in layer.grads.values():
+            g[...] = 0.0
+        assert layer.backward(dy, need_dx=False) is None
+        for name, g in layer.grads.items():
+            assert g.tobytes() == full[name].tobytes(), name
+
+
+def sigmoid_two_branch(x):
+    """The logistic function as two masked halves, each overflow-free."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    EDGES = [0.0, 1e-300, 36.8, 709.0, 746.0, np.inf]
+
+    @pytest.mark.parametrize("x", [
+        np.array(EDGES + [-v for v in EDGES]),
+        40.0 * np.random.default_rng(18).standard_normal((2, 16, 256)),
+    ], ids=["edges", "normal-scale-40"])
+    def test_bits_match_the_two_branch_form(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = nn._sigmoid(x)
+        expected = sigmoid_two_branch(x)
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_nan_stays_nan(self):
+        # only the NaN's sign bit may differ from the two-branch form
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = nn._sigmoid(np.array([np.nan, -np.nan, 1.0]))
+        assert np.isnan(got[:2]).all() and got[2] == sigmoid_two_branch(np.array([1.0]))[0]
 
 
 class TestBatchNorm:
