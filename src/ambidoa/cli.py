@@ -69,18 +69,23 @@ def _workers():
     return workers
 
 
-def _environment():
+def _environment(workers):
     """What a run ran on: interpreter, numeric libraries, the BLAS and its
-    thread settings (None where unset), and CPU count. No timings, so a rerun
-    records the same block."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    thread settings (None where unset), the resolved AMBIDOA_THREADS
+    ``workers``, and CPU count. No timings, so a rerun records the same block.
+    The BLAS name and version are None where numpy's build record lacks them
+    (``show_config(mode=...)`` is numpy >= 1.26)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "thread_vars": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
-        "ambidoa_threads": _workers(),
+        "ambidoa_threads": workers,
         "cpu_count": os.cpu_count(),
     }
 
@@ -94,7 +99,9 @@ def _write_run_json(written, args, env):
     payload = {
         "env": env,
         "subcommand": args.subcommand,
-        "resolved": {k: v for k, v in vars(args).items() if k != "func"},
+        # the worker count is recorded in env as ambidoa_threads
+        "resolved": {k: v for k, v in vars(args).items()
+                     if k not in ("func", "workers")},
         "version": __version__,
     }
     with open(path, "w", encoding="ascii") as f:
@@ -177,7 +184,7 @@ def cmd_render(args):
     frames, window = _feature_geometry(PRESETS[args.preset]())
     cfg = _render_config(args, window=window, frames=frames)
     records = render_dataset(scenes, args.out, cfg, seed=args.seed,
-                             speech_dir=args.speech_dir, workers=_workers())
+                             speech_dir=args.speech_dir, workers=args.workers)
     print(f"rendered {len(records)} samples into {args.out}")
     return args.out
 
@@ -390,7 +397,8 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        env = _environment()  # a bad AMBIDOA_THREADS stops any command here
+        args.workers = _workers()  # a bad AMBIDOA_THREADS stops any command
+        env = _environment(args.workers)
         written = args.func(args)
         if written is not None:
             _write_run_json(written, args, env)

@@ -626,16 +626,16 @@ def load_model(path):
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad config blob: {exc!r}") from exc
 
-    for field, named in (("params", net.params), ("buffers", net.buffers)):
-        if shapes[field] != [[k, list(v.shape)] for k, v in named.items()]:
+    for field, group in (("params", net.params), ("buffers", net.buffers)):
+        if shapes[field] != [[k, list(v.shape)] for k, v in group.items()]:
             raise ValueError(f"{path}: saved {field} shapes do not match its config")
-    arrays = list(net.params.values()) + list(net.buffers.values())
-    expected = 8 * sum(v.size for v in arrays)
+    named = {**net.params, **net.buffers}
+    expected = 8 * sum(v.size for v in named.values())
     if len(payload) != expected:
         raise ValueError(f"{path}: payload holds {len(payload)} bytes, not {expected}")
     data = np.frombuffer(payload, dtype="<f8")
     offset = 0
-    for name, v in zip([*net.params, *net.buffers], arrays):
+    for name, v in named.items():
         v[...] = data[offset : offset + v.size].reshape(v.shape)
         offset += v.size
         if not np.all(np.isfinite(v)):

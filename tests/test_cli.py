@@ -279,6 +279,19 @@ def test_run_record_names_its_environment_and_reruns_identically(tmp_path, monke
         assert env["thread_vars"]["MKL_NUM_THREADS"] is None
 
 
+@pytest.mark.parametrize("show_config", [
+    lambda: None,  # numpy < 1.26: show_config takes no mode
+    lambda mode: {"Build Dependencies": {}},  # a build that names no BLAS
+])
+def test_run_record_survives_a_build_record_without_blas(tmp_path, monkeypatch,
+                                                         show_config):
+    monkeypatch.setattr(np, "show_config", show_config)
+    assert run(["gridinfo", "--resolution", "30", "--csv", str(tmp_path / "g.csv")]) == 0
+    meta = json.loads((tmp_path / "g.csv.run.json").read_text())
+    assert meta["env"]["blas"] == {"name": None, "version": None}
+    assert "workers" not in meta["resolved"]  # env holds it as ambidoa_threads
+
+
 def test_bad_thread_count_stops_any_command(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("AMBIDOA_THREADS", "0")
     assert run(["gridinfo", "--resolution", "30", "--csv", str(tmp_path / "g.csv")]) == 2
