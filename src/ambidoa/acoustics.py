@@ -203,23 +203,31 @@ def save_scenes(scenes, path, seed=None):
 
 
 def load_scenes(path):
-    with open(path, "r", encoding="ascii") as f:
-        data = json.load(f)
+    """Scenes of a :func:`save_scenes` file; errors name the file, room and pair."""
     scenes = []
-    for r in data["rooms"]:
-        room = RoomConfig(
-            dims=np.array(r["dims"]),
-            absorption=np.array(r["absorption"]),
-            scattering=float(r["scattering"]),
-        )
-        for pair in r["pairs"]:
-            scenes.append(
-                Scene(
-                    room=room,
-                    source=np.array(pair["source"]),
-                    listener=np.array(pair["listener"]),
-                )
+    entry = "top level"
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            data = json.load(f)
+        for i, r in enumerate(data["rooms"]):
+            entry = f"room {i}"
+            room = RoomConfig(
+                dims=np.array(r["dims"]),
+                absorption=np.array(r["absorption"]),
+                scattering=float(r["scattering"]),
             )
+            for j, pair in enumerate(r["pairs"]):
+                entry = f"room {i} pair {j}"
+                scenes.append(
+                    Scene(
+                        room=room,
+                        source=np.array(pair["source"]),
+                        listener=np.array(pair["listener"]),
+                    )
+                )
+    except (KeyError, TypeError, ValueError) as exc:
+        reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{path}: {entry}: {reason}") from exc
     return scenes
 
 
@@ -320,7 +328,8 @@ def trace_paths(scene: Scene, n_rays, max_bounces, receiver_radius, rng_seed=0):
     the listener) and specular otherwise. Straight segments crossing the
     listener sphere register an arrival carrying the ray's full energy and
     absorb the ray, so the received total can never exceed the emitted unit
-    budget. Specular crossing delays are corrected to the exact image-source
+    budget. A caught ray leaves the population: later steps see only rays in
+    flight. Specular crossing delays are corrected to the exact image-source
     delay via the unfolded-path identity d = hypot(path, miss_distance).
     """
     if n_rays < 1:
@@ -344,108 +353,85 @@ def trace_paths(scene: Scene, n_rays, max_bounces, receiver_radius, rng_seed=0):
     direction = _uniform_sphere(rng, n_rays)
     energy = np.full(n_rays, 1.0 / n_rays)
     traveled = np.zeros(n_rays)
-    alive = np.ones(n_rays, dtype=bool)
-    can_detect = np.ones(n_rays, dtype=bool)  # off on the segment after a rain event
     had_diffuse = np.zeros(n_rays, dtype=bool)
+    diffused = np.zeros(n_rays, dtype=bool)  # rained last bounce: not detectable now
 
-    # seeded with empty arrays so one concatenate also covers no arrivals
-    out_dir, out_delay, out_amp = [np.zeros((0, 3))], [np.zeros(0)], [np.zeros(0)]
-    out_order, out_diff = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=bool)]
+    # one chunk of PathSet arrays per emission, seeded with empty arrays so one
+    # concatenate also covers no arrivals
+    chunks = [(np.zeros((0, 3)), np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64),
+               np.zeros(0, dtype=bool))]
 
-    def emit(directions, delays, energies, orders, diffuse_flags):
+    def emit(directions, delays, energies, order, diffuse_flags):
         keep = energies > 0.0
-        out_dir.append(directions[keep])
-        out_delay.append(delays[keep])
-        out_amp.append(np.sqrt(energies[keep]))
-        out_order.append(orders[keep])
-        out_diff.append(diffuse_flags[keep])
+        chunks.append((directions[keep], delays[keep], np.sqrt(energies[keep]),
+                       np.full(int(keep.sum()), order, dtype=np.int64),
+                       diffuse_flags[keep]))
 
     for bounce in range(max_bounces + 1):
-        if not np.any(alive):
-            break
         # distance to the first wall along each ray
         with np.errstate(divide="ignore", invalid="ignore"):
-            target = np.where(direction > 0, dims, 0.0)
-            t_axes = np.where(
-                np.abs(direction) > 1e-300, (target - pos) / direction, np.inf
-            )
-        t_axes = np.where(t_axes <= 1e-12, np.inf, t_axes)
+            t_axes = (np.where(direction > 0, dims, 0.0) - pos) / direction
+        t_axes = np.where((np.abs(direction) > 1e-300) & (t_axes > 1e-12), t_axes, np.inf)
         hit_axis = np.argmin(t_axes, axis=1)
-        t_hit = t_axes[np.arange(n_rays), hit_axis]
+        t_hit = t_axes[np.arange(len(energy)), hit_axis]
 
         # sphere detection at closest approach within the segment
         rel = listener - pos
         s_star = np.clip(np.einsum("ij,ij->i", rel, direction), 0.0, t_hit)
         closest = pos + s_star[:, None] * direction
         miss2 = np.sum((closest - listener) ** 2, axis=1)
-        detected = alive & can_detect & (miss2 < r2)
-        if np.any(detected):
-            unfolded = np.sqrt((traveled[detected] + s_star[detected]) ** 2
-                               + miss2[detected])
-            emit(
-                -direction[detected],
-                unfolded / SPEED_OF_SOUND,
-                energy[detected],
-                np.full(int(detected.sum()), bounce, dtype=np.int64),
-                had_diffuse[detected],
-            )
-            alive = alive & ~detected
-        can_detect[:] = True
+        detected = ~diffused & (miss2 < r2)
+        unfolded = np.sqrt((traveled[detected] + s_star[detected]) ** 2
+                           + miss2[detected])
+        emit(
+            -direction[detected],
+            unfolded / SPEED_OF_SOUND,
+            energy[detected],
+            bounce,
+            had_diffuse[detected],
+        )
+        pos, direction, energy, traveled, had_diffuse, hit_axis, t_hit = (
+            a.compress(~detected, axis=0)
+            for a in (pos, direction, energy, traveled, had_diffuse, hit_axis, t_hit)
+        )
 
-        if bounce == max_bounces or not np.any(alive):
+        if bounce == max_bounces or not len(energy):
             break
 
-        # advance every live ray to its wall and absorb there
-        idx = np.where(alive)[0]
-        ax = hit_axis[idx]
-        pos[idx] += t_hit[idx, None] * direction[idx]
-        pos[idx] = np.clip(pos[idx], 0.0, dims)  # float dust containment
-        pos[idx, ax] = np.where(direction[idx, ax] > 0, dims[ax], 0.0)
-        traveled[idx] += t_hit[idx]
-        energy[idx] *= 1.0 - room.absorption[ax]
+        # advance every ray to its wall and absorb there
+        rows = np.arange(len(energy))
+        far_wall = direction[rows, hit_axis] > 0  # the wall at dims, not the one at 0
+        pos += t_hit[:, None] * direction
+        np.clip(pos, 0.0, dims, out=pos)  # float dust containment
+        pos[rows, hit_axis] = np.where(far_wall, dims[hit_axis], 0.0)
+        traveled += t_hit
+        energy *= 1.0 - room.absorption[hit_axis]
 
-        # split the bounce: Lambertian with probability `scattering`
-        u = rng.uniform(size=idx.size)
-        diff_sel = u < room.scattering
-        diff_idx = idx[diff_sel]
-        spec_idx = idx[~diff_sel]
+        # split the bounce: Lambertian with probability `scattering`; every ray
+        # reflects specularly, and the diffuse ones then draw a new direction
+        diffused = rng.uniform(size=len(energy)) < room.scattering
+        direction[rows, hit_axis] = -direction[rows, hit_axis]
+        rain = np.flatnonzero(diffused)  # integer indices gather faster than the mask
+        normals = np.zeros((len(rain), 3))  # unit normals pointing into the room
+        normals[np.arange(len(rain)), hit_axis[rain]] = 1.0 - 2.0 * far_wall[rain]
+        # diffuse rain: expected energy caught by the receiver sphere
+        to_l = listener - pos[rain]
+        dist = np.linalg.norm(to_l, axis=1)
+        cos_g = np.maximum(np.einsum("ij,ij->i", normals, to_l) / dist, 0.0)
+        caught = np.minimum(energy[rain] * cos_g * r2 / dist**2,
+                            energy[rain])
+        emit(
+            to_l / dist[:, None] * -1.0,
+            (traveled[rain] + dist) / SPEED_OF_SOUND,
+            caught,
+            bounce + 1,
+            np.ones(len(rain), dtype=bool),
+        )
+        energy[rain] -= caught
+        direction[rain] = _lambert_directions(rng, normals)
+        had_diffuse |= diffused
 
-        if spec_idx.size:
-            sx = hit_axis[spec_idx]
-            direction[spec_idx, sx] = -direction[spec_idx, sx]
-
-        if diff_idx.size:
-            dx = hit_axis[diff_idx]
-            normals = np.zeros((diff_idx.size, 3))
-            normals[np.arange(diff_idx.size), dx] = np.where(
-                pos[diff_idx, dx] > 0.5 * dims[dx], -1.0, 1.0
-            )
-            # diffuse rain: expected energy caught by the receiver sphere
-            to_l = listener - pos[diff_idx]
-            dist = np.linalg.norm(to_l, axis=1)
-            cos_g = np.maximum(np.einsum("ij,ij->i", normals, to_l) / dist, 0.0)
-            caught = np.minimum(energy[diff_idx] * cos_g * r2 / dist**2,
-                                energy[diff_idx])
-            emit(
-                to_l / dist[:, None] * -1.0,
-                (traveled[diff_idx] + dist) / SPEED_OF_SOUND,
-                caught,
-                np.full(diff_idx.size, bounce + 1, dtype=np.int64),
-                np.ones(diff_idx.size, dtype=bool),
-            )
-            energy[diff_idx] -= caught
-            direction[diff_idx] = _lambert_directions(rng, normals)
-            had_diffuse[diff_idx] = True
-            can_detect[diff_idx] = False
-
-    paths = PathSet(
-        directions=np.concatenate(out_dir),
-        delays=np.concatenate(out_delay),
-        amplitudes=np.concatenate(out_amp),
-        orders=np.concatenate(out_order),
-        diffuse=np.concatenate(out_diff),
-        emitted_energy=1.0,
-    )
+    paths = PathSet(*map(np.concatenate, zip(*chunks)), emitted_energy=1.0)
     return paths.select(np.argsort(paths.delays, kind="stable"))
 
 

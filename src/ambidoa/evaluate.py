@@ -154,10 +154,16 @@ def propagate(scene, cfg: RenderConfig, rng):
 
 
 def check_receiver_clearance(scenes, cfg: RenderConfig):
-    """Refuse, before any scene is traced, every scene whose source lies
-    inside the tracer's receiver sphere, naming each with its distance."""
+    """Refuse, before any scene is traced, every scene whose smallest room
+    dimension is not above four receiver radii or whose source lies inside the
+    tracer's receiver sphere, naming each with that dimension or distance."""
     if cfg.method != "trace":
         return
+    small = [f"{i} ({s.room.dims.min():.3f} m)" for i, s in enumerate(scenes)
+             if not cfg.receiver_radius < s.room.dims.min() / 4.0]
+    if small:
+        raise ValueError(f"receiver_radius {cfg.receiver_radius} m is not below a quarter"
+                         f" of the smallest room dimension in scene {', '.join(small)}")
     distances = [float(np.linalg.norm(s.source - s.listener)) for s in scenes]
     close = [f"{i} ({d:.3f} m)" for i, d in enumerate(distances)
              if d <= cfg.receiver_radius]
@@ -267,12 +273,16 @@ def render_dataset(scenes, out_dir, cfg: RenderConfig, seed=0, speech_dir=None,
 
 
 def load_manifest(path):
+    """Records of a JSON-lines manifest; errors name the file and line number."""
     records = []
     with open(path, "r", encoding="ascii") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                records.append(SampleRecord.from_json(line))
+        for number, line in enumerate(f, 1):
+            try:
+                if line.strip():
+                    records.append(SampleRecord.from_json(line))
+            except (KeyError, TypeError, ValueError) as exc:
+                reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+                raise ValueError(f"{path}: line {number}: {reason}") from exc
     return records
 
 

@@ -89,10 +89,13 @@ def write_wav(path, signal):
 
 
 def read_wav(path):
-    """Read a 4-channel float WAV back into a :class:`FoaSignal`."""
+    """Read a 4-channel float WAV back into a :class:`FoaSignal`; errors name the file."""
     rate, data = wavfile.read(path)
     if data.ndim != 2 or data.shape[1] != 4:
-        raise ValueError(f"expected a 4-channel WAV, got shape {data.shape}")
+        raise ValueError(f"{path}: expected a 4-channel WAV, got shape {data.shape}")
     if data.dtype.kind == "i":
         data = data.astype(np.float64) / float(np.iinfo(data.dtype).max)
-    return FoaSignal(channels=data.T.astype(np.float64), sample_rate=int(rate))
+    try:
+        return FoaSignal(channels=data.T.astype(np.float64), sample_rate=int(rate))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

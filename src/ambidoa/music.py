@@ -35,7 +35,6 @@ class CovarianceSet:
     """Per-bin 4x4 Hermitian matrices averaged over frames."""
 
     matrices: np.ndarray  # (bins, 4, 4) complex
-    frequencies: np.ndarray  # (bins,) Hz
 
     def __post_init__(self):
         m = self.matrices
@@ -61,7 +60,7 @@ def spatial_covariance(spec, frames=slice(None)):
     if x.shape[1] < 2:
         raise ValueError("need at least 2 frames to average a covariance")
     mats = np.einsum("ctb,dtb->bcd", x, np.conj(x), optimize=True) / x.shape[1]
-    return CovarianceSet(matrices=mats, frequencies=spec.frequencies()[bin_range])
+    return CovarianceSet(matrices=mats)
 
 
 def music_spectrum(cov: CovarianceSet, grid: SphereGrid):

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -104,6 +105,38 @@ class TestSampleScenes:
         for x, y in zip(scenes, loaded):
             np.testing.assert_allclose(x.source, y.source)
             np.testing.assert_allclose(x.room.dims, y.room.dims)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["rooms"][0].pop("scattering"), "room 0: missing field 'scattering'"),
+        (lambda d: d["rooms"][1]["pairs"][0].pop("listener"),
+         "room 1 pair 0: missing field 'listener'"),
+        (lambda d: d["rooms"][1]["pairs"][1].update(source=[0.1, 1.0, 1.0]),
+         "room 1 pair 1: source .* violates the 0.5 m wall margin"),
+        (lambda d: d["rooms"][0].update(absorption=[0.3, 1.5, 0.3]),
+         "room 0: absorption must lie in"),
+        (lambda d: d.update(rooms=7), "top level: 'int' object is not iterable"),
+        (lambda d: d.pop("rooms"), "top level: missing field 'rooms'"),
+    ], ids=["no-scattering", "no-listener", "pair-in-margin", "bad-absorption",
+            "rooms-not-a-list", "no-rooms"])
+    def test_bad_scene_file_names_the_file_and_entry(self, tmp_path, edit, message):
+        path = tmp_path / "scenes.json"
+        save_scenes(sample_scenes(4, seed=2, pairs_per_room=2), path)
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            load_scenes(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "top level: list indices must be integers"),
+        ('{"rooms": [}', "top level: Expecting value"),
+    ], ids=["list", "cut-json"])
+    def test_scene_file_that_is_not_a_scene_object_is_named(self, tmp_path, text,
+                                                            message):
+        path = tmp_path / "scenes.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            load_scenes(path)
 
     def test_scene_file_stores_every_room_field(self, tmp_path):
         path = tmp_path / "scenes.json"
@@ -218,6 +251,43 @@ class TestTracer:
         assert traced.directions.shape == (0, 3)
         assert traced.orders.dtype == np.int64 and traced.diffuse.dtype == bool
         assert traced.emitted_energy == 1.0
+
+    @pytest.mark.parametrize("seed, alpha, radius, max_bounces", [
+        (0, 0.3, 0.3, 10),
+        (1, 0.3, 0.3, 40),
+        (2, 0.1, 0.7, 3),
+        (3, 0.02, 0.7, 60),  # nearly lossless walls: most rays are caught
+    ])
+    def test_specular_rays_arrive_at_most_once(self, seed, alpha, radius, max_bounces):
+        # a caught ray leaves the population; one left in flight would be
+        # caught again on a later pass, with some other ray's energy
+        n_rays = 2000
+        traced = trace_paths(demo_scene(alpha=alpha), n_rays=n_rays,
+                             max_bounces=max_bounces, receiver_radius=radius,
+                             rng_seed=seed)
+        assert 0 < len(traced) <= n_rays
+        assert not traced.diffuse.any()
+        assert traced.orders.max() <= max_bounces
+        np.testing.assert_allclose(traced.amplitudes**2,
+                                   (1.0 - alpha) ** traced.orders / n_rays, rtol=1e-12)
+        if max_bounces == 60:
+            assert len(traced) > n_rays / 2
+
+    @pytest.mark.parametrize("n_rays, max_bounces", [(1, 0), (1, 40), (20000, 0)])
+    def test_a_single_ray_or_no_bounce_gives_a_valid_set(self, n_rays, max_bounces):
+        traced = trace_paths(demo_scene(alpha=0.05, scattering=0.5), n_rays=n_rays,
+                             max_bounces=max_bounces, receiver_radius=0.3, rng_seed=4)
+        n = len(traced)
+        assert traced.directions.shape == (n, 3) and traced.directions.dtype == np.float64
+        assert traced.amplitudes.shape == traced.orders.shape == traced.diffuse.shape == (n,)
+        assert traced.orders.dtype == np.int64 and traced.diffuse.dtype == bool
+        assert np.all(np.diff(traced.delays) >= 0.0)
+        assert np.all(traced.orders <= max_bounces) and traced.received_energy <= 1.0
+        if max_bounces == 0:
+            # only the direct sound: 3.74 m away, undelayed by any wall
+            assert n > 0 if n_rays > 1 else n == 0
+            assert not traced.diffuse.any() and np.all(traced.orders == 0)
+            np.testing.assert_allclose(traced.delays, np.sqrt(14.0) / C, rtol=1e-12)
 
     def test_source_inside_receiver_rejected(self):
         room = RoomConfig(dims=(4, 5, 3), absorption=0.3)

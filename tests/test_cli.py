@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from ambidoa.acoustics import load_scenes
 from ambidoa.cli import BLAS_THREAD_VARS, _feature_geometry, build_parser, main
@@ -111,6 +112,21 @@ class TestPipeline:
         ]) == 2
         assert "receiver sphere in scene 2 (0.158 m)" in capsys.readouterr().err
         assert not sim.exists()
+
+    def test_traced_runs_refuse_a_receiver_too_large_for_a_room(self, tmp_path, capsys):
+        # seed 10 draws a second room whose smallest side, 2.322 m, is under 4 x 0.6 m
+        sim = tmp_path / "sim"
+        assert run(["simulate", "--count", "6", "--seed", "10", "--out", str(sim)]) == 0
+        flags = ["--method", "trace", "--rays", "500", "--receiver-radius", "0.6"]
+        expected = ("receiver_radius 0.6 m is not below a quarter of the smallest room "
+                    "dimension in scene 3 (2.322 m), 4 (2.322 m), 5 (2.322 m)")
+        assert run(["render", "--scenes", str(sim / "scenes.json"), *flags,
+                    "--out", str(tmp_path / "feats")]) == 2
+        assert expected in capsys.readouterr().err
+        assert run(["simulate", "--count", "6", "--seed", "10", *flags, "--write-irs",
+                    "--out", str(tmp_path / "irs")]) == 2
+        assert expected in capsys.readouterr().err
+        assert not (tmp_path / "feats").exists() and not (tmp_path / "irs").exists()
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "2.5", ""])
     def test_bad_thread_count_is_refused(self, pipeline_dir, tmp_path, monkeypatch,
@@ -346,6 +362,24 @@ class TestMusicAndTrack:
         assert rows[0] == "time_s,azimuth_deg,elevation_deg,error_deg"
         assert len(rows) - 1 == windows
         assert f"{windows} predictions" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["music", "track"])
+    @pytest.mark.parametrize("channels, message", [
+        (2, "expected a 4-channel WAV, got shape (4000, 2)"),
+        (4, "FOA signal contains non-finite samples"),
+    ], ids=["two-channels", "nan-sample"])
+    def test_a_bad_recording_is_named(self, tmp_path, capsys, command, channels,
+                                      message):
+        wav = tmp_path / "bad.wav"
+        data = np.random.default_rng(3).standard_normal((4000, channels))
+        data[17, -1] = np.nan
+        wavfile.write(wav, 16000, data.astype(np.float32))
+        out = tmp_path / "track.csv"
+        extra = (["--truth-azimuth", "0", "--truth-elevation", "0", "--out", str(out)]
+                 if command == "track" else [])
+        assert run([command, "--input", str(wav), *extra]) == 2
+        assert f"error: {wav}: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_only_music_tracks_a_recording_at_another_sample_rate(self, tmp_path,
                                                                    capsys):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -139,6 +140,24 @@ class TestRenderDataset:
         back = SampleRecord.from_json(rec.to_json())
         np.testing.assert_allclose(back.label, rec.label, atol=1e-9)
         assert back.scene_id == 7 and back.method == "image"
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"features_path": "a.adoa", "azimuth_deg": 10.0}', "missing field 'elevation_deg'"),
+    ('{"features_path": "a.adoa", "azimuth_deg": 10.0, "elevation_deg": 0.0, '
+     '"snr_db": 5.0, "method": "image"}', "missing field 'scene_id'"),
+    ('{"features_path": "a.adoa", "azimuth_deg": "east", "elevation_deg": 0.0}',
+     "ufunc 'radians' not supported"),
+    ('{"features_path": "a.adoa", ', "Expecting property name"),
+    ("[1, 2]", "list indices must be integers"),
+], ids=["no-elevation", "no-scene-id", "text-azimuth", "cut-json", "not-an-object"])
+def test_bad_manifest_line_names_the_file_and_line(tmp_path, line, message):
+    good = SampleRecord(features_path="x.adoa", label=to_cartesian(0.3, -0.2),
+                        scene_id=0, snr_db=10.0, method="image").to_json()
+    path = tmp_path / "manifest.jsonl"
+    path.write_text(f"{good}\n\n{line}\n{good}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: {message}"):
+        load_manifest(path)
 
 
 @pytest.mark.parametrize("kwargs, field", [

@@ -131,7 +131,7 @@ class TestMusicSpectrum:
         bad = np.zeros((2, 4, 4), dtype=complex)
         bad[0, 0, 1] = 1.0  # asymmetric
         with pytest.raises(ValueError):
-            CovarianceSet(matrices=bad, frequencies=np.array([100.0, 200.0]))
+            CovarianceSet(matrices=bad)
 
 
 class TestMusicEstimate:
