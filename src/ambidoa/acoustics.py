@@ -372,8 +372,12 @@ def trace_paths(scene: Scene, n_rays, max_bounces, receiver_radius, rng_seed=0):
         with np.errstate(divide="ignore", invalid="ignore"):
             t_axes = (np.where(direction > 0, dims, 0.0) - pos) / direction
         t_axes = np.where((np.abs(direction) > 1e-300) & (t_axes > 1e-12), t_axes, np.inf)
-        hit_axis = np.argmin(t_axes, axis=1)
-        t_hit = t_axes[np.arange(len(energy)), hit_axis]
+        # argmin over the three axes, column by column (numpy's length-3
+        # reductions are slow); strict < keeps argmin's first-minimum tie rule
+        tx, ty, tz = t_axes.T
+        t_xy = np.minimum(tx, ty)
+        hit_axis = np.where(tz < t_xy, 2, (ty < tx).astype(np.intp))
+        t_hit = np.minimum(t_xy, tz)
 
         # sphere detection at closest approach within the segment
         rel = listener - pos

@@ -134,15 +134,13 @@ def _speech_envelope_gain(freqs):
     return 1.0 / np.sqrt(1.0 + (freqs / SPEECH_SHELF_HZ) ** 2)
 
 
-def _shaped_noise(rng, n_streams, length, sample_rate):
-    """(n_streams, length) independent noise rows with the speech envelope.
-    Shaping happens at an FFT-friendly padded length, then truncates."""
-    fast = int(sp_fft.next_fast_len(length))
-    white = rng.standard_normal((n_streams, fast))
-    spectrum = np.fft.rfft(white, axis=1)
-    freqs = np.fft.rfftfreq(fast, d=1.0 / sample_rate)
-    spectrum *= _speech_envelope_gain(freqs)[None, :]
-    return np.fft.irfft(spectrum, n=fast, axis=1)[:, :length]
+def _shaped_noise(white, length, sample_rate):
+    """Rows of ``white`` given the speech envelope, truncated to ``length``.
+    Shaping happens at the rows' own, FFT-friendly padded length."""
+    fast = white.shape[-1]
+    spectrum = np.fft.rfft(white, axis=-1)
+    spectrum *= _speech_envelope_gain(np.fft.rfftfreq(fast, d=1.0 / sample_rate))
+    return np.fft.irfft(spectrum, n=fast, axis=-1)[..., :length]
 
 
 # 12 uniformly spread directions: icosahedron vertices
@@ -163,25 +161,33 @@ def speech_shaped_noise(length, seed, sample_rate=16000):
 
     Twelve independent shaped-noise streams arrive from the icosahedron
     directions; their FOA encodings superpose into an approximately isotropic
-    field. Deterministic for a fixed seed.
+    field. Deterministic for a fixed seed. The one-talker case of
+    :func:`babble_noise`: the twelve white streams are mixed to four channels
+    before they are shaped, with the realisation of shaping each on its own.
     """
     return babble_noise(length, seed, sample_rate, n_talkers=1)
 
 
 def babble_noise(length, seed, sample_rate=16000, n_talkers=6):
     """Babble stand-in: the sum of ``n_talkers`` independent speech-shaped
-    noise fields."""
-    if length < 1024:
-        raise ValueError("length must be at least 1024 samples")
+    noise fields, ``length`` (an integer >= 1024) samples long.
+
+    The white streams are mixed to W, X, Y, Z before they are shaped: the
+    spectral shaping and the truncation are linear, so they commute with the
+    FOA sum, and four channels cost four FFT pairs however many streams there
+    are. The realisation is that of shaping each stream on its own and then
+    encoding it, up to rounding in the last bits.
+    """
+    for name, value, least in (("length", length, 1024), ("n_talkers", n_talkers, 1)):
+        if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+                or value < least):
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     rng = np.random.default_rng(seed)
-    streams = _shaped_noise(rng, n_talkers * len(_ICOSAHEDRON), length, sample_rate)
-    streams = streams.reshape(n_talkers, len(_ICOSAHEDRON), length)
-    gains = foa_gains(_ICOSAHEDRON)
-    channels = np.einsum("dc,tdn->cn", gains, streams, optimize=True)
-    return FoaSignal(
-        channels=channels / np.sqrt(n_talkers * len(_ICOSAHEDRON)),
-        sample_rate=sample_rate,
-    )
+    n_streams = n_talkers * len(_ICOSAHEDRON)
+    white = rng.standard_normal((n_streams, sp_fft.next_fast_len(length)))
+    gains = np.tile(foa_gains(_ICOSAHEDRON).T, n_talkers)  # (4, streams), talker-major
+    channels = _shaped_noise(gains @ white, length, sample_rate)
+    return FoaSignal(channels=channels / np.sqrt(n_streams), sample_rate=sample_rate)
 
 
 def synthetic_speech(length, seed, sample_rate=16000):
@@ -191,7 +197,8 @@ def synthetic_speech(length, seed, sample_rate=16000):
     signal speech-like on/off structure without redistributing any corpus.
     """
     rng = np.random.default_rng(seed)
-    carrier = _shaped_noise(rng, 1, length, sample_rate)[0]
+    white = rng.standard_normal(sp_fft.next_fast_len(length))
+    carrier = _shaped_noise(white, length, sample_rate)
     t = np.arange(length) / sample_rate
     envelope = np.zeros(length)
     pos = 0.0

@@ -1,12 +1,16 @@
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft as sp_fft
 
+import ambidoa
 from ambidoa.features import (
     FeatureTensor,
     Spectrogram,
@@ -22,7 +26,8 @@ from ambidoa.features import (
     synthetic_speech,
     write_features,
 )
-from ambidoa.foa import FoaSignal, encode_plane_wave
+from ambidoa.features import _ICOSAHEDRON, _speech_envelope_gain
+from ambidoa.foa import FoaSignal, encode_plane_wave, foa_gains
 from ambidoa.geometry import great_circle, to_cartesian
 
 FS = 16000
@@ -109,6 +114,15 @@ class TestNoise:
             mix_noise(sig, noise, 10.0)
 
 
+# digests of one babble and one speech-shaped noise field at render length
+NOISE_DIGESTS = """
+import hashlib
+from ambidoa.features import babble_noise, speech_shaped_noise
+for noise in (babble_noise(31999, 3), speech_shaped_noise(31999, 4)):
+    print(hashlib.sha256(noise.channels.tobytes()).hexdigest())
+"""
+
+
 class TestSpeechShapedNoise:
     def test_deterministic(self):
         a = speech_shaped_noise(2048, seed=5)
@@ -136,6 +150,54 @@ class TestSpeechShapedNoise:
     def test_length_floor(self):
         with pytest.raises(ValueError):
             speech_shaped_noise(512, seed=0)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"length": 2048.0}, "length"),
+        ({"length": True}, "length"),
+        ({"length": "2048"}, "length"),
+        ({"length": 2048, "n_talkers": 0}, "n_talkers"),
+        ({"length": 2048, "n_talkers": -1}, "n_talkers"),
+        ({"length": 2048, "n_talkers": 1.5}, "n_talkers"),
+        ({"length": 2048, "n_talkers": True}, "n_talkers"),
+    ])
+    def test_bad_noise_input_names_the_field(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            babble_noise(seed=1, **kwargs)
+        if "n_talkers" not in kwargs:
+            with pytest.raises(ValueError, match=field):
+                speech_shaped_noise(seed=1, **kwargs)
+
+    @pytest.mark.parametrize("n_talkers", [1, 6])
+    def test_babble_is_each_stream_shaped_then_encoded(self, n_talkers):
+        # reference: every stream shaped on its own from the same draw, then
+        # encoded from its icosahedron direction (talker-major) and summed;
+        # 31,999 samples pad to 32,000, so the truncation is exercised too
+        length, seed = 31999, 8
+        fast = sp_fft.next_fast_len(length)
+        assert fast > length
+        white = np.random.default_rng(seed).standard_normal((n_talkers * 12, fast))
+        envelope = _speech_envelope_gain(np.fft.rfftfreq(fast, d=1.0 / FS))
+        ref = np.zeros((4, length))
+        for k, row in enumerate(white):
+            stream = np.fft.irfft(np.fft.rfft(row) * envelope, n=fast)[:length]
+            ref += foa_gains(_ICOSAHEDRON[k % 12])[:, None] * stream
+        ref /= np.sqrt(n_talkers * 12)
+        out = babble_noise(length, seed, FS, n_talkers=n_talkers).channels
+        assert out.shape == ref.shape
+        assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_noise_does_not_depend_on_the_blas_thread_count(self):
+        path = [os.path.dirname(os.path.dirname(ambidoa.__file__))]
+        path += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(path)}
+            run = subprocess.run([sys.executable, "-c", NOISE_DIGESTS], env=env,
+                                 capture_output=True, text=True, check=True)
+            digests.append(run.stdout.split())
+        assert len(digests[0]) == 2
+        assert digests[0] == digests[1]
 
     def test_babble_is_deterministic_sum(self):
         a = babble_noise(2048, seed=4)
