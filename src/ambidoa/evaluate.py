@@ -33,7 +33,7 @@ from .features import (
     synthetic_speech,
     write_features,
 )
-from .foa import encode_srir
+from .foa import encode_srir, read_pcm
 from .geometry import great_circle, to_cartesian, to_spherical
 
 __all__ = [
@@ -184,16 +184,10 @@ def _speech_clips(speech_dir, sample_rate):
         raise ValueError(f"no WAV files found in {speech_dir}")
     clips = []
     for p in paths:
-        from scipy.io import wavfile
-
-        rate, data = wavfile.read(p)
+        rate, data = read_pcm(p)
         if rate != sample_rate:
             raise ValueError(f"{p}: sample rate {rate} != {sample_rate}")
-        if data.ndim > 1:
-            data = data[:, 0]
-        if data.dtype.kind == "i":
-            data = data.astype(np.float64) / np.iinfo(data.dtype).max
-        clips.append(np.asarray(data, dtype=np.float64))
+        clips.append(data[:, 0] if data.ndim > 1 else data)
     return clips
 
 

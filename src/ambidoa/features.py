@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy.signal import fftconvolve
 
 from .foa import FoaSignal, foa_gains
 
@@ -95,10 +94,24 @@ class FeatureTensor:
 
 def convolve_foa(dry, ir: FoaSignal):
     """Channel-wise full convolution of a dry mono signal, taken to be at the
-    IR's sample rate, with a 4-channel IR."""
+    IR's sample rate, with a 4-channel IR.
+
+    The product of real DFTs zero-padded to at least n_ir + n_dry - 1 points
+    is the linear convolution exactly, with no wrap-around; the transform
+    length is the next fast one. A one-sample operand makes the convolution a
+    scaling, taken directly. Both are what ``scipy.signal.fftconvolve`` does,
+    and the output matches its bit for bit.
+    """
     dry = np.asarray(dry, dtype=np.float64)
-    out = fftconvolve(ir.channels, dry[None, :], mode="full", axes=1)
-    return FoaSignal(channels=out, sample_rate=ir.sample_rate)
+    if dry.ndim != 1 or dry.size == 0 or not np.all(np.isfinite(dry)):
+        raise ValueError(f"dry must be a non-empty, 1-D, finite array, got shape {dry.shape}")
+    if dry.size == 1 or ir.channels.shape[1] == 1:
+        return FoaSignal(channels=ir.channels * dry, sample_rate=ir.sample_rate)
+    n = ir.channels.shape[1] + dry.size - 1
+    fast = sp_fft.next_fast_len(n, True)
+    spectrum = sp_fft.rfft(ir.channels, fast, axis=1) * sp_fft.rfft(dry, fast)
+    return FoaSignal(channels=sp_fft.irfft(spectrum, fast, axis=1)[:, :n],
+                     sample_rate=ir.sample_rate)
 
 
 def sample_snr(rng):

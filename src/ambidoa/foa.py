@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.io import wavfile
 
 __all__ = [
     "FoaSignal",
@@ -19,6 +18,7 @@ __all__ = [
     "encode_plane_wave",
     "encode_srir",
     "write_wav",
+    "read_pcm",
     "read_wav",
 ]
 
@@ -85,17 +85,34 @@ def encode_srir(paths, sample_rate, length):
 
 def write_wav(path, signal):
     """Persist as 4-channel 32-bit-float WAV, channels as columns W, X, Y, Z."""
+    from scipy.io import wavfile  # loaded on first use: it costs import time
+
     wavfile.write(path, signal.sample_rate, signal.channels.T.astype(np.float32))
 
 
-def read_wav(path):
-    """Read a 4-channel float WAV back into a :class:`FoaSignal`; errors name the file."""
+def read_pcm(path):
+    """Read a WAV file as ``(rate, samples)``, the samples as float64 in
+    [-1, 1]: 8-bit PCM (unsigned, offset by 128) maps to (x - 128) / 128,
+    signed PCM is divided by its type's maximum and float passes through.
+    Any other sample type is refused with an error that names the file."""
+    from scipy.io import wavfile  # loaded on first use: it costs import time
+
     rate, data = wavfile.read(path)
+    if data.dtype == np.uint8:
+        data = (data.astype(np.float64) - 128.0) / 128.0
+    elif data.dtype.kind == "i":
+        data = data.astype(np.float64) / float(np.iinfo(data.dtype).max)
+    elif data.dtype.kind != "f":
+        raise ValueError(f"{path}: unsupported WAV sample type {data.dtype}")
+    return int(rate), np.asarray(data, dtype=np.float64)
+
+
+def read_wav(path):
+    """Read a 4-channel WAV back into a :class:`FoaSignal`; errors name the file."""
+    rate, data = read_pcm(path)
     if data.ndim != 2 or data.shape[1] != 4:
         raise ValueError(f"{path}: expected a 4-channel WAV, got shape {data.shape}")
-    if data.dtype.kind == "i":
-        data = data.astype(np.float64) / float(np.iinfo(data.dtype).max)
     try:
-        return FoaSignal(channels=data.T.astype(np.float64), sample_rate=int(rate))
+        return FoaSignal(channels=data.T, sample_rate=rate)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

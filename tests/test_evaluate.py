@@ -116,6 +116,41 @@ class TestRenderDataset:
         with pytest.raises(ValueError, match=r"talker\.wav: sample rate 48000 != 16000"):
             render_dataset(scenes, tmp_path / "out", FAST_RENDER, speech_dir=str(speech))
 
+    @pytest.mark.parametrize("dtype", ["uint8", "int16", "int32", "float32"])
+    def test_speech_of_every_sample_type_renders_as_its_float_values(self, tmp_path,
+                                                                     dtype):
+        from scipy.io import wavfile
+
+        rng = np.random.default_rng(17)
+        if dtype == "float32":
+            stored = rng.uniform(-1.0, 1.0, 20000).astype(np.float32)
+            meaning = stored.astype(np.float64)
+        else:
+            info = np.iinfo(dtype)
+            stored = rng.integers(info.min, info.max, 20000, endpoint=True).astype(dtype)
+            meaning = (stored - 128.0) / 128.0 if dtype == "uint8" else stored / float(info.max)
+        scenes = sample_scenes(2, seed=6, pairs_per_room=1, absorption=0.8)
+        for name, data in (("stored", stored), ("float64", meaning)):
+            (tmp_path / name).mkdir()
+            wavfile.write(str(tmp_path / name / "talker.wav"), 16000, data)
+            render_dataset(scenes, tmp_path / f"out-{name}", FAST_RENDER, seed=3,
+                           speech_dir=str(tmp_path / name))
+        for name in ("manifest.jsonl", "sample_000000.adoa", "sample_000001.adoa"):
+            assert ((tmp_path / "out-stored" / name).read_bytes()
+                    == (tmp_path / "out-float64" / name).read_bytes())
+
+    def test_speech_of_another_sample_type_is_refused_by_file(self, tmp_path,
+                                                              monkeypatch):
+        from scipy.io import wavfile
+
+        speech = tmp_path / "speech"
+        speech.mkdir()
+        wavfile.write(str(speech / "talker.wav"), 16000, np.zeros(4800, dtype=np.int16))
+        monkeypatch.setattr(wavfile, "read", lambda p: (16000, np.zeros(4800, np.uint16)))
+        scenes = sample_scenes(1, seed=1, pairs_per_room=1, absorption=0.8)
+        with pytest.raises(ValueError, match=r"talker\.wav: unsupported WAV sample type"):
+            render_dataset(scenes, tmp_path / "out", FAST_RENDER, speech_dir=str(speech))
+
     def test_trace_refuses_close_pairs_before_rendering_any(self, tmp_path):
         room = RoomConfig(dims=np.array([5.0, 4.0, 3.0]), absorption=0.5)
         listener = np.array([2.0, 2.0, 1.5])

@@ -1,9 +1,13 @@
 """Every name a module lists in ``__all__`` resolves, and every name the
 package re-exports is a public name of the module that defines it, so a
-removal cannot leave a stale export behind."""
+removal cannot leave a stale export behind. Importing the package loads
+no scipy beyond ``scipy.fft``."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 import types
 
 import pytest
@@ -28,3 +32,16 @@ def test_package_exports_are_module_exports():
         home = importlib.import_module(obj.__module__)
         assert name in getattr(home, "__all__", ()), \
             f"ambidoa.{name} is not in {obj.__module__}.__all__"
+
+
+def test_importing_the_cli_loads_no_scipy_but_fft():
+    # scipy.signal alone drags in scipy.stats, scipy.linalg and scipy.sparse,
+    # about 1 s and 50 MB that every command and worker would pay at start
+    path = [os.path.dirname(os.path.dirname(ambidoa.__file__))]
+    path += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+    code = ("import sys, ambidoa.cli; print(*sorted(m for m in sys.modules if m in "
+            "('scipy.signal', 'scipy.stats', 'scipy.sparse', 'scipy.io')))")
+    run = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == []

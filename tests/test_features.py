@@ -67,6 +67,38 @@ class TestConvolve:
         assert out.channels.shape[1] == FS + 39
         np.testing.assert_allclose(out.channels[0, 32 : 32 + FS], 0.5 * dry, atol=1e-9)
 
+    @pytest.mark.parametrize("n_ir, n_dry", [
+        *np.random.default_rng(41).integers(1, 4000, size=(6, 2)).tolist(),
+        (16000, 16000),  # the render's 1 s IR and 1 s clip
+        (1, 1), (1, 777), (777, 1),
+    ])
+    def test_matches_fftconvolve_bit_for_bit(self, n_ir, n_dry):
+        from scipy.signal import fftconvolve  # the reference only
+
+        rng = np.random.default_rng([n_ir, n_dry])
+        ir = FoaSignal(channels=rng.standard_normal((4, n_ir)), sample_rate=FS)
+        dry = rng.standard_normal(n_dry)
+        out = convolve_foa(dry, ir)
+        ref = fftconvolve(ir.channels, dry[None, :], mode="full", axes=1)
+        assert out.sample_rate == FS
+        np.testing.assert_array_equal(out.channels, ref)
+
+    def test_matches_direct_convolution(self):
+        rng = np.random.default_rng(42)
+        ir = FoaSignal(channels=rng.standard_normal((4, 700)), sample_rate=FS)
+        dry = rng.standard_normal(1500)
+        out = convolve_foa(dry, ir).channels
+        for ch in range(4):
+            ref = np.convolve(ir.channels[ch], dry)
+            assert np.abs(out[ch] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("dry", [[], [[1.0, 2.0]], 3.0, [1.0, np.nan], [np.inf]],
+                             ids=["empty", "2-d", "scalar", "nan", "inf"])
+    def test_bad_dry_is_refused_by_name(self, dry):
+        ir = FoaSignal(channels=np.ones((4, 8)), sample_rate=FS)
+        with pytest.raises(ValueError, match=r"^dry must be a non-empty, 1-D, finite array"):
+            convolve_foa(dry, ir)
+
 
 class TestNoise:
     def test_snr_statistics(self):

@@ -176,6 +176,38 @@ class TestWav:
             back.channels, ir.channels.astype(np.float32), atol=1e-7
         )
 
+    # each stored type, with the samples it holds and the floats they mean
+    PCM = {
+        "uint8": (np.array([0, 64, 128, 255], np.uint8),
+                  np.array([-1.0, -0.5, 0.0, 127 / 128])),
+        "int16": (np.array([-32768, -1, 0, 32767], np.int16),
+                  np.array([-32768 / 32767, -1 / 32767, 0.0, 1.0])),
+        "int32": (np.array([-2**31, -1, 0, 2**31 - 1], np.int32),
+                  np.array([-2**31 / (2**31 - 1), -1 / (2**31 - 1), 0.0, 1.0])),
+        "float32": (np.array([-1.0, -0.25, 0.0, 0.75], np.float32),
+                    np.array([-1.0, -0.25, 0.0, 0.75])),
+    }
+
+    @pytest.mark.parametrize("dtype", sorted(PCM))
+    def test_every_sample_type_reads_as_float(self, tmp_path, dtype):
+        from scipy.io import wavfile
+
+        stored, meaning = self.PCM[dtype]
+        path = tmp_path / f"{dtype}.wav"
+        wavfile.write(path, 16000, np.tile(stored[:, None], (1, 4)))
+        back = read_wav(path)
+        assert back.sample_rate == 16000
+        np.testing.assert_array_equal(back.channels, np.tile(meaning, (4, 1)))
+
+    def test_other_sample_types_are_refused_by_file(self, tmp_path, monkeypatch):
+        from scipy.io import wavfile
+
+        path = tmp_path / "odd.wav"
+        write_wav(path, FoaSignal(channels=np.ones((4, 8)), sample_rate=16000))
+        monkeypatch.setattr(wavfile, "read", lambda p: (16000, np.ones((8, 4), np.uint16)))
+        with pytest.raises(ValueError, match=r"odd\.wav: unsupported WAV sample type uint16"):
+            read_wav(path)
+
     def test_channel_count_enforced(self):
         with pytest.raises(ValueError):
             FoaSignal(channels=np.zeros((3, 10)), sample_rate=16000)
