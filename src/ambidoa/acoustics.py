@@ -108,6 +108,11 @@ class PathSet:
     toward the apparent source. ``emitted_energy`` records the tracer's budget
     (1.0) so conservation can be checked; the image-source method leaves it
     NaN because its amplitudes are exact pressures, not Monte-Carlo energy.
+
+    Both propagation methods return their arrivals sorted by delay, equal
+    delays in the order the method produced them (a stable sort).
+    ``evaluate.propagate`` relies on it: the arrivals inside the impulse
+    response buffer are a prefix, kept as a slice.
     """
 
     directions: np.ndarray  # (n, 3) unit vectors
@@ -125,7 +130,9 @@ class PathSet:
         return float(np.sum(self.amplitudes**2))
 
     def select(self, index):
-        """Arrivals picked by a boolean mask or an index array; keeps the budget."""
+        """Arrivals picked by a boolean mask, an index array or a slice; keeps
+        the budget. A mask or index array copies the arrays; a slice returns
+        views that share memory with this set."""
         return PathSet(
             directions=self.directions[index],
             delays=self.delays[index],
@@ -298,25 +305,47 @@ def _uniform_sphere(rng, n):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _lambert_directions(rng, normals):
-    """Cosine-weighted directions about the given unit normals."""
-    n = normals.shape[0]
+def _lambert_directions(rng, axis, sign):
+    """Cosine-weighted directions about the unit normals ``sign * e_axis``.
+
+    A wall normal is an axis vector, so its tangent frame is a signed
+    permutation of the room axes: with local components (t1, t2, n) and
+    s = sign, axis 0 gets (s n, -t2, s t1), axis 1 (-t2, s n, -s t1) and
+    axis 2 (-t2, s t1, s n), the bits of the cross-product frame built on the
+    room axis least aligned with the normal.
+    """
+    n = axis.shape[0]
     u1 = rng.uniform(size=n)
     u2 = rng.uniform(size=n)
     r = np.sqrt(u1)
     phi = 2.0 * np.pi * u2
-    local = np.stack(
-        [r * np.cos(phi), r * np.sin(phi), np.sqrt(1.0 - u1)], axis=-1
-    )
-    # orthonormal frame per normal; pick the helper axis least aligned with it
-    helper = np.zeros_like(normals)
-    helper[np.arange(n), np.argmin(np.abs(normals), axis=1)] = 1.0
-    t1 = np.cross(normals, helper)
-    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
-    t2 = np.cross(normals, t1)
-    return (
-        local[:, 0:1] * t1 + local[:, 1:2] * t2 + local[:, 2:3] * normals
-    )
+    s_t1 = sign * (r * np.cos(phi))
+    minus_t2 = -(r * np.sin(phi))
+    s_n = sign * np.sqrt(1.0 - u1)
+    return np.stack([
+        np.where(axis == 0, s_n, minus_t2),
+        np.where(axis == 0, minus_t2, np.where(axis == 1, s_n, s_t1)),
+        np.where(axis == 2, s_n, np.where(axis == 1, -s_t1, s_t1)),
+    ], axis=-1)
+
+
+def _sum3(x):
+    """Row sums of an (n, 3) array as (x0 + x1) + x2: the bits of numpy's
+    ``sum(axis=1)`` and ``linalg.norm``, which are slow over a length-3 axis."""
+    return (x[:, 0] + x[:, 1]) + x[:, 2]
+
+
+def _stable_argsort(keys):
+    """``np.argsort(keys, kind="stable")``, by the default sort followed by a
+    lexsort of only the positions inside runs of equal keys (NaNs count as
+    equal), which a tracer's delays have few of."""
+    order = np.argsort(keys)
+    ranked = keys[order]
+    tie = ~(ranked[1:] > ranked[:-1])
+    if tie.any():
+        in_run = np.flatnonzero(np.r_[tie, False] | np.r_[False, tie])
+        order[in_run] = order[in_run][np.lexsort((order[in_run], ranked[in_run]))]
+    return order
 
 
 def trace_paths(scene: Scene, n_rays, max_bounces, receiver_radius, rng_seed=0):
@@ -356,21 +385,22 @@ def trace_paths(scene: Scene, n_rays, max_bounces, receiver_radius, rng_seed=0):
     had_diffuse = np.zeros(n_rays, dtype=bool)
     diffused = np.zeros(n_rays, dtype=bool)  # rained last bounce: not detectable now
 
-    # one chunk of PathSet arrays per emission, seeded with empty arrays so one
-    # concatenate also covers no arrivals
-    chunks = [(np.zeros((0, 3)), np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64),
-               np.zeros(0, dtype=bool))]
+    # one list of chunks per PathSet field, one chunk per emission, seeded with
+    # empty arrays so one concatenate also covers no arrivals
+    parts = ([np.zeros((0, 3))], [np.zeros(0)], [np.zeros(0)],
+             [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=bool)])
 
     def emit(directions, delays, energies, order, diffuse_flags):
-        keep = energies > 0.0
-        chunks.append((directions[keep], delays[keep], np.sqrt(energies[keep]),
-                       np.full(int(keep.sum()), order, dtype=np.int64),
-                       diffuse_flags[keep]))
+        keep = energies > 0.0  # compress: a boolean index is slow on (n, 3) arrays
+        for part, field in zip(parts, (directions, delays, np.sqrt(energies),
+                                       np.full(len(energies), order, dtype=np.int64),
+                                       diffuse_flags)):
+            part.append(field.compress(keep, axis=0))
 
     for bounce in range(max_bounces + 1):
         # distance to the first wall along each ray
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_axes = (np.where(direction > 0, dims, 0.0) - pos) / direction
+            t_axes = ((direction > 0) * dims - pos) / direction
         t_axes = np.where((np.abs(direction) > 1e-300) & (t_axes > 1e-12), t_axes, np.inf)
         # argmin over the three axes, column by column (numpy's length-3
         # reductions are slow); strict < keeps argmin's first-minimum tie rule
@@ -383,12 +413,12 @@ def trace_paths(scene: Scene, n_rays, max_bounces, receiver_radius, rng_seed=0):
         rel = listener - pos
         s_star = np.clip(np.einsum("ij,ij->i", rel, direction), 0.0, t_hit)
         closest = pos + s_star[:, None] * direction
-        miss2 = np.sum((closest - listener) ** 2, axis=1)
+        miss2 = _sum3((closest - listener) ** 2)
         detected = ~diffused & (miss2 < r2)
         unfolded = np.sqrt((traveled[detected] + s_star[detected]) ** 2
                            + miss2[detected])
         emit(
-            -direction[detected],
+            -direction.compress(detected, axis=0),
             unfolded / SPEED_OF_SOUND,
             energy[detected],
             bounce,
@@ -403,40 +433,53 @@ def trace_paths(scene: Scene, n_rays, max_bounces, receiver_radius, rng_seed=0):
             break
 
         # advance every ray to its wall and absorb there
-        rows = np.arange(len(energy))
-        far_wall = direction[rows, hit_axis] > 0  # the wall at dims, not the one at 0
+        # flat index of each ray's hit-axis component: take and put on it beat
+        # fancy (row, column) indexing of the (n, 3) arrays
+        hit = 3 * np.arange(len(energy)) + hit_axis
+        hit_direction = np.take(direction, hit)
+        far_wall = hit_direction > 0  # the wall at dims, not the one at 0
         pos += t_hit[:, None] * direction
         np.clip(pos, 0.0, dims, out=pos)  # float dust containment
-        pos[rows, hit_axis] = np.where(far_wall, dims[hit_axis], 0.0)
+        np.put(pos, hit, np.where(far_wall, dims[hit_axis], 0.0))
         traveled += t_hit
         energy *= 1.0 - room.absorption[hit_axis]
 
         # split the bounce: Lambertian with probability `scattering`; every ray
         # reflects specularly, and the diffuse ones then draw a new direction
         diffused = rng.uniform(size=len(energy)) < room.scattering
-        direction[rows, hit_axis] = -direction[rows, hit_axis]
+        np.put(direction, hit, -hit_direction)
         rain = np.flatnonzero(diffused)  # integer indices gather faster than the mask
-        normals = np.zeros((len(rain), 3))  # unit normals pointing into the room
-        normals[np.arange(len(rain)), hit_axis[rain]] = 1.0 - 2.0 * far_wall[rain]
+        # the unit normal pointing into the room is sign * e_axis
+        axis = hit_axis[rain]
+        sign = 1.0 - 2.0 * far_wall[rain]
         # diffuse rain: expected energy caught by the receiver sphere
-        to_l = listener - pos[rain]
-        dist = np.linalg.norm(to_l, axis=1)
-        cos_g = np.maximum(np.einsum("ij,ij->i", normals, to_l) / dist, 0.0)
+        to_l = listener - np.take(pos, rain, axis=0)
+        dist = np.sqrt(_sum3(to_l**2))
+        cos_g = np.maximum(sign * to_l[np.arange(len(rain)), axis] / dist, 0.0)
         caught = np.minimum(energy[rain] * cos_g * r2 / dist**2,
                             energy[rain])
         emit(
-            to_l / dist[:, None] * -1.0,
+            to_l / -dist[:, None],
             (traveled[rain] + dist) / SPEED_OF_SOUND,
             caught,
             bounce + 1,
             np.ones(len(rain), dtype=bool),
         )
         energy[rain] -= caught
-        direction[rain] = _lambert_directions(rng, normals)
+        direction[rain] = _lambert_directions(rng, axis, sign)
         had_diffuse |= diffused
 
-    paths = PathSet(*map(np.concatenate, zip(*chunks)), emitted_energy=1.0)
-    return paths.select(np.argsort(paths.delays, kind="stable"))
+    order = _stable_argsort(np.concatenate(parts[1]))
+
+    def sorted_field(part):
+        # gathered into delay order as soon as it is joined, its chunks freed
+        # first, so one unsorted field at a time is alive; take is much faster
+        # than field[order] on (n, 3)
+        field = np.concatenate(part)
+        part.clear()
+        return np.take(field, order, axis=0)
+
+    return PathSet(*map(sorted_field, parts), emitted_energy=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,9 @@ def propagate(scene, cfg: RenderConfig, rng):
             receiver_radius=cfg.receiver_radius,
             rng_seed=trace_seed,
         )
-    return paths.select(np.rint(paths.delays * cfg.sample_rate) < cfg.ir_length)
+    # arrivals come sorted by delay, so the ones inside the buffer are a prefix
+    count = np.count_nonzero(np.rint(paths.delays * cfg.sample_rate) < cfg.ir_length)
+    return paths.select(slice(0, count))
 
 
 def check_receiver_clearance(scenes, cfg: RenderConfig):

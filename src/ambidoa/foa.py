@@ -65,8 +65,16 @@ def encode_srir(paths, sample_rate, length):
 
     Each path adds amplitude * foa_gains(direction) at the sample nearest its
     delay; superposition is linear, so path order never matters. Raises if
-    any delay falls past the buffer, naming the offending arrivals.
+    any delay, amplitude or direction is not finite, naming the field and the
+    first such arrival, or if any delay falls past the buffer, naming the
+    offending arrivals.
     """
+    for name, values in (("delays", paths.delays), ("amplitudes", paths.amplitudes),
+                         ("directions", paths.directions)):
+        finite = np.isfinite(values)
+        if not finite.all():
+            first = int(np.argmin(finite.reshape(len(values), -1).all(axis=1)))
+            raise ValueError(f"{name} of arrival #{first} is not finite: {values[first]}")
     delays = paths.delays
     samples = np.rint(delays * sample_rate).astype(np.int64)
     bad = np.nonzero((samples < 0) | (samples >= length))[0]
@@ -76,10 +84,15 @@ def encode_srir(paths, sample_rate, length):
             f"{bad.size} path delay(s) fall outside the {length}-sample buffer "
             f"({length / sample_rate:.3f} s): {worst}"
         )
-    contributions = paths.amplitudes[:, None] * foa_gains(paths.directions)
-    channels = np.zeros((4, length))
-    for ch in range(4):
-        np.add.at(channels[ch], samples, contributions[:, ch])
+    # one weighted bincount per channel: it sums each sample's arrivals in
+    # arrival order, as a scatter-add would, with weights amplitude * gain
+    amplitudes = paths.amplitudes
+    channels = np.empty((4, length))
+    channels[0] = np.bincount(samples, weights=amplitudes, minlength=length)
+    for ch in range(3):
+        gain = np.sqrt(3.0) * paths.directions[:, ch]
+        channels[ch + 1] = np.bincount(samples, weights=amplitudes * gain,
+                                       minlength=length)
     return FoaSignal(channels=channels, sample_rate=sample_rate)
 
 

@@ -4,6 +4,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ambidoa.acoustics import (
     DIMS_MAX,
@@ -11,6 +13,9 @@ from ambidoa.acoustics import (
     PathSet,
     RoomConfig,
     Scene,
+    _lambert_directions,
+    _stable_argsort,
+    _sum3,
     energy_decay_curve,
     estimate_rt60,
     image_source_paths,
@@ -28,6 +33,81 @@ C = 343.0
 def demo_scene(alpha=0.3, scattering=0.0):
     room = RoomConfig(dims=(4.0, 5.0, 3.0), absorption=alpha, scattering=scattering)
     return Scene(room=room, source=(1.0, 1.0, 1.0), listener=(3.0, 4.0, 2.0))
+
+
+def cross_product_lambert(rng, normals):
+    """Cosine-weighted directions about unit normals, in the orthonormal frame
+    built by cross products with the room axis least aligned with each normal:
+    the reference that ``_lambert_directions`` must match bit for bit."""
+    n = normals.shape[0]
+    u1 = rng.uniform(size=n)
+    u2 = rng.uniform(size=n)
+    r = np.sqrt(u1)
+    phi = 2.0 * np.pi * u2
+    local = np.stack([r * np.cos(phi), r * np.sin(phi), np.sqrt(1.0 - u1)], axis=-1)
+    helper = np.zeros_like(normals)
+    helper[np.arange(n), np.argmin(np.abs(normals), axis=1)] = 1.0
+    t1 = np.cross(normals, helper)
+    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
+    t2 = np.cross(normals, t1)
+    return local[:, 0:1] * t1 + local[:, 1:2] * t2 + local[:, 2:3] * normals
+
+
+def stable_argsort_agrees(keys):
+    keys = np.asarray(keys, dtype=np.float64)
+    np.testing.assert_array_equal(_stable_argsort(keys), np.argsort(keys, kind="stable"))
+
+
+class TestTracerKernels:
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_lambert_frame_matches_the_cross_product_frame(self, axis, sign):
+        n = 5000
+        normals = np.zeros((n, 3))
+        normals[:, axis] = sign
+        got = _lambert_directions(np.random.default_rng(axis), np.full(n, axis),
+                                  np.full(n, sign))
+        np.testing.assert_array_equal(
+            got, cross_product_lambert(np.random.default_rng(axis), normals))
+        assert np.all(sign * got[:, axis] >= 0.0)  # into the room
+
+    def test_lambert_frame_with_mixed_walls_in_one_call(self):
+        rng = np.random.default_rng(9)
+        n = 3000
+        axis = rng.integers(0, 3, n)
+        sign = 1.0 - 2.0 * (rng.uniform(size=n) < 0.5)
+        normals = np.zeros((n, 3))
+        normals[np.arange(n), axis] = sign
+        np.testing.assert_array_equal(
+            _lambert_directions(np.random.default_rng(1), axis, sign),
+            cross_product_lambert(np.random.default_rng(1), normals))
+
+    def test_column_sums_match_numpy_reductions(self):
+        x = np.random.default_rng(2).standard_normal((10000, 3)) * 1e3
+        np.testing.assert_array_equal(_sum3(x**2), np.sum(x**2, axis=1))
+        np.testing.assert_array_equal(np.sqrt(_sum3(x**2)), np.linalg.norm(x, axis=1))
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0, np.inf, -np.inf, np.nan]),
+                    max_size=40))
+    def test_stable_argsort_on_short_tie_heavy_keys(self, keys):
+        stable_argsort_agrees(keys)
+
+    @given(st.lists(st.floats(), max_size=40))
+    def test_stable_argsort_on_any_floats(self, keys):
+        stable_argsort_agrees(keys)
+
+    @given(n=st.integers(0, 5000), distinct=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stable_argsort_on_long_runs_of_equal_keys(self, n, distinct, seed):
+        # long arrays reach the default sort's unstable partitioning; the
+        # pool holds both zeros, which compare equal
+        pool = np.array([0.0, -0.0, 0.25, 1e-3, 3.0, -7.0])[:distinct]
+        keys = np.random.default_rng(seed).choice(pool, size=n)
+        stable_argsort_agrees(keys)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 100000])
+    def test_stable_argsort_on_all_equal_keys(self, n):
+        stable_argsort_agrees(np.full(n, 0.0625))
 
 
 class TestTypes:

@@ -10,7 +10,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ambidoa import estimator, evaluate, music
-from ambidoa.acoustics import PathSet, RoomConfig, Scene, sample_scenes
+from ambidoa.acoustics import (
+    PathSet,
+    RoomConfig,
+    Scene,
+    image_source_paths,
+    sample_scenes,
+    trace_paths,
+)
 from ambidoa.estimator import (
     Formulation,
     Network,
@@ -256,6 +263,26 @@ class TestPropagate:
         np.testing.assert_array_equal(kept.delays, delays[:2])
         ir = encode_srir(kept, 16000, 16000)
         assert np.nonzero(ir.channels[0])[0].tolist() == [8000, 15999]
+
+    @pytest.mark.parametrize("method", ["image", "trace"])
+    def test_kept_arrivals_match_a_mask_select(self, method):
+        # propagate keeps the in-buffer arrivals as a prefix of the delay-sorted
+        # set; the reference selects them by mask from the unclipped set
+        room = RoomConfig(dims=(4.0, 5.0, 3.0), absorption=0.2, scattering=0.6)
+        scene = Scene(room=room, source=(1.0, 1.0, 1.0), listener=(3.0, 4.0, 2.0))
+        cfg = RenderConfig(method=method, max_order=6, n_rays=3000, max_bounces=20,
+                           ir_seconds=0.025)
+        kept = propagate(scene, cfg, sample_rng(5, 1))
+        if method == "image":
+            paths = image_source_paths(scene, cfg.max_order)
+        else:
+            seed = int(sample_rng(5, 1).integers(1 << 62))
+            paths = trace_paths(scene, cfg.n_rays, cfg.max_bounces, cfg.receiver_radius,
+                                rng_seed=seed)
+        expected = paths.select(np.rint(paths.delays * cfg.sample_rate) < cfg.ir_length)
+        assert 0 < len(kept) < len(paths)
+        for f in fields(PathSet):
+            np.testing.assert_array_equal(getattr(kept, f.name), getattr(expected, f.name))
 
     def test_tracer_seed_is_the_first_draw_for_every_method(self):
         scene = sample_scenes(1, seed=4)[0]

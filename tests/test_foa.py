@@ -38,6 +38,17 @@ def combined(*sets):
     )
 
 
+def add_at_reference(paths, sample_rate, length):
+    """Channels of ``encode_srir`` as one scatter-add of amplitude * gains per
+    channel: the reference its weighted bincounts must match bit for bit."""
+    samples = np.rint(paths.delays * sample_rate).astype(np.int64)
+    contributions = paths.amplitudes[:, None] * foa_gains(paths.directions)
+    channels = np.zeros((4, length))
+    for ch in range(4):
+        np.add.at(channels[ch], samples, contributions[:, ch])
+    return channels
+
+
 def direction_of_ir_peak(ir: FoaSignal):
     """Recover the arrival direction of a single-path IR from the encoded
     gains at its loudest sample: (X, Y, Z) / (sqrt(3) W)."""
@@ -149,6 +160,34 @@ class TestEncodeSrir:
         b = single_path([1, 0, 0], 0.001, 0.25)
         ir = encode_srir(combined(a, b), 16000, 64)
         assert ir.channels[0, 16] == pytest.approx(0.75)
+
+    def test_matches_a_scatter_add_with_many_arrivals_per_sample(self):
+        rng = np.random.default_rng(6)
+        n = 20000
+        d = rng.standard_normal((n, 3))
+        paths = PathSet(
+            directions=d / np.linalg.norm(d, axis=1, keepdims=True),
+            # 20000 arrivals over 40 samples: about 500 per sample, in no order
+            delays=rng.integers(0, 40, n) / 16000.0 + rng.uniform(-3e-5, 3e-5, n),
+            amplitudes=rng.standard_normal(n) * np.exp(rng.uniform(-20, 0, n)),
+            orders=np.zeros(n, dtype=np.int64),
+            diffuse=np.ones(n, dtype=bool),
+        )
+        ir = encode_srir(paths, 16000, 64)
+        np.testing.assert_array_equal(ir.channels, add_at_reference(paths, 16000, 64))
+
+    @pytest.mark.parametrize("field, value", [
+        ("delays", np.nan), ("delays", np.inf), ("amplitudes", np.inf),
+        ("amplitudes", np.nan), ("directions", np.nan), ("directions", -np.inf),
+    ])
+    def test_non_finite_arrival_is_named(self, field, value):
+        paths = combined(*(single_path([1, 0, 0], 0.001 * (k + 1), 0.5) for k in range(4)))
+        if field == "directions":
+            paths.directions[2, 1] = value
+        else:
+            getattr(paths, field)[2] = value
+        with pytest.raises(ValueError, match=f"^{field} of arrival #2 is not finite"):
+            encode_srir(paths, 16000, 64)
 
     def test_late_delay_rejected_with_detail(self):
         with pytest.raises(ValueError, match="outside"):
