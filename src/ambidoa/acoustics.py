@@ -104,10 +104,11 @@ class Scene:
 
 @dataclass
 class PathSet:
-    """Arrivals at the listener in struct-of-arrays form, directions pointing
-    toward the apparent source. ``emitted_energy`` records the tracer's budget
-    (1.0) so conservation can be checked; the image-source method leaves it
-    NaN because its amplitudes are exact pressures, not Monte-Carlo energy.
+    """Arrivals at the listener in struct-of-arrays form: ``directions`` is a
+    C-contiguous (n, 3) array of unit vectors toward the apparent source.
+    ``emitted_energy`` records the tracer's budget (1.0) so conservation can
+    be checked; the image-source method leaves it NaN because its amplitudes
+    are exact pressures, not Monte-Carlo energy.
 
     Both propagation methods return their arrivals sorted by delay, equal
     delays in the order the method produced them (a stable sort).
@@ -115,7 +116,7 @@ class PathSet:
     response buffer are a prefix, kept as a slice.
     """
 
-    directions: np.ndarray  # (n, 3) unit vectors
+    directions: np.ndarray  # (n, 3) float64 unit vectors, C-contiguous
     delays: np.ndarray  # (n,) seconds
     amplitudes: np.ndarray  # (n,) signed linear
     orders: np.ndarray  # (n,) int
@@ -242,6 +243,11 @@ def load_scenes(path):
 # image-source method
 # ---------------------------------------------------------------------------
 
+def _check_count(name, value, least):
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _axis_images(coord, length, max_n):
     """1-D mirror images: index n maps to n*L + s for even n and (n+1)*L - s
     for odd n; |n| is the number of reflections on that axis pair."""
@@ -257,8 +263,7 @@ def image_source_paths(scene: Scene, max_order):
     delay is distance / SPEED_OF_SOUND; direction is the unit vector from the
     listener to the image position.
     """
-    if max_order < 0:
-        raise ValueError("max_order must be >= 0")
+    _check_count("max_order", max_order, 0)
     room = scene.room
     n_idx, positions, counts = [], [], []
     for axis in range(3):
@@ -300,13 +305,8 @@ def image_source_paths(scene: Scene, max_order):
 # stochastic ray tracer
 # ---------------------------------------------------------------------------
 
-def _uniform_sphere(rng, n):
-    v = rng.standard_normal((n, 3))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def _lambert_directions(rng, axis, sign):
-    """Cosine-weighted directions about the unit normals ``sign * e_axis``.
+def _lambert_directions(rng, direction, rays, axis, sign):
+    """Put cosine-weighted directions about ``sign * e_axis`` in ``direction[:, rays]``.
 
     A wall normal is an axis vector, so its tangent frame is a signed
     permutation of the room axes: with local components (t1, t2, n) and
@@ -314,25 +314,22 @@ def _lambert_directions(rng, axis, sign):
     axis 2 (-t2, s t1, s n), the bits of the cross-product frame built on the
     room axis least aligned with the normal.
     """
-    n = axis.shape[0]
-    u1 = rng.uniform(size=n)
-    u2 = rng.uniform(size=n)
+    n = direction.shape[1]
+    u1 = rng.uniform(size=len(rays))
+    u2 = rng.uniform(size=len(rays))
     r = np.sqrt(u1)
     phi = 2.0 * np.pi * u2
     s_t1 = sign * (r * np.cos(phi))
-    minus_t2 = -(r * np.sin(phi))
-    s_n = sign * np.sqrt(1.0 - u1)
-    return np.stack([
-        np.where(axis == 0, s_n, minus_t2),
-        np.where(axis == 0, minus_t2, np.where(axis == 1, s_n, s_t1)),
-        np.where(axis == 2, s_n, np.where(axis == 1, -s_t1, s_t1)),
-    ], axis=-1)
+    np.negative(s_t1, out=s_t1, where=axis == 1)
+    np.put(direction, axis * n + rays, sign * np.sqrt(1.0 - u1))
+    np.put(direction, (axis == 0) * n + rays, -(r * np.sin(phi)))
+    np.put(direction, (2 - (axis == 2)) * n + rays, s_t1)
 
 
 def _sum3(x):
-    """Row sums of an (n, 3) array as (x0 + x1) + x2: the bits of numpy's
-    ``sum(axis=1)`` and ``linalg.norm``, which are slow over a length-3 axis."""
-    return (x[:, 0] + x[:, 1]) + x[:, 2]
+    """Column sums of a (3, n) array as (x0 + x1) + x2: the bits of numpy's
+    ``sum`` and ``linalg.norm`` over the slow length-3 rows of its transpose."""
+    return (x[0] + x[1]) + x[2]
 
 
 def _stable_argsort(keys):
@@ -360,11 +357,14 @@ def trace_paths(scene: Scene, n_rays, max_bounces, receiver_radius, rng_seed=0):
     budget. A caught ray leaves the population: later steps see only rays in
     flight. Specular crossing delays are corrected to the exact image-source
     delay via the unfolded-path identity d = hypot(path, miss_distance).
+
+    Ray positions and directions are (3, n) arrays, one C-contiguous row per
+    component, and the room dimensions and listener (3, 1) columns, so each
+    per-bounce step loops over the rays, not over numpy's slow length-3 rows.
     """
-    if n_rays < 1:
-        raise ValueError("n_rays must be >= 1")
-    if max_bounces < 0:
-        raise ValueError("max_bounces must be >= 0")
+    _check_count("n_rays", n_rays, 1)
+    _check_count("max_bounces", max_bounces, 0)
+    _check_count("rng_seed", rng_seed, 0)
     room = scene.room
     if not 0.0 < receiver_radius < float(np.min(room.dims)) / 4.0:
         raise ValueError(
@@ -374,12 +374,13 @@ def trace_paths(scene: Scene, n_rays, max_bounces, receiver_radius, rng_seed=0):
         raise ValueError("source lies inside the receiver sphere")
 
     rng = np.random.default_rng(rng_seed)
-    listener = scene.listener
-    dims = room.dims
+    listener = scene.listener[:, None]
+    dims = room.dims[:, None]
     r2 = receiver_radius**2
 
-    pos = np.broadcast_to(scene.source, (n_rays, 3)).copy()
-    direction = _uniform_sphere(rng, n_rays)
+    pos = np.broadcast_to(scene.source[:, None], (3, n_rays)).copy()
+    direction = rng.standard_normal((n_rays, 3)).T.copy()  # the draws of one (n, 3) array
+    direction /= np.sqrt(_sum3(direction**2))
     energy = np.full(n_rays, 1.0 / n_rays)
     traveled = np.zeros(n_rays)
     had_diffuse = np.zeros(n_rays, dtype=bool)
@@ -387,45 +388,45 @@ def trace_paths(scene: Scene, n_rays, max_bounces, receiver_radius, rng_seed=0):
 
     # one list of chunks per PathSet field, one chunk per emission, seeded with
     # empty arrays so one concatenate also covers no arrivals
-    parts = ([np.zeros((0, 3))], [np.zeros(0)], [np.zeros(0)],
+    parts = ([np.zeros((3, 0))], [np.zeros(0)], [np.zeros(0)],
              [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=bool)])
 
     def emit(directions, delays, energies, order, diffuse_flags):
-        keep = energies > 0.0  # compress: a boolean index is slow on (n, 3) arrays
+        keep = energies > 0.0
         for part, field in zip(parts, (directions, delays, np.sqrt(energies),
                                        np.full(len(energies), order, dtype=np.int64),
                                        diffuse_flags)):
-            part.append(field.compress(keep, axis=0))
+            part.append(field.compress(keep, axis=-1))
 
     for bounce in range(max_bounces + 1):
         # distance to the first wall along each ray
         with np.errstate(divide="ignore", invalid="ignore"):
             t_axes = ((direction > 0) * dims - pos) / direction
-        t_axes = np.where((np.abs(direction) > 1e-300) & (t_axes > 1e-12), t_axes, np.inf)
-        # argmin over the three axes, column by column (numpy's length-3
-        # reductions are slow); strict < keeps argmin's first-minimum tie rule
-        tx, ty, tz = t_axes.T
+        np.copyto(t_axes, np.inf, where=~((np.abs(direction) > 1e-300) & (t_axes > 1e-12)))
+        # argmin over the three axes, row by row (numpy's length-3 reductions
+        # are slow); strict < keeps argmin's first-minimum tie rule
+        tx, ty, tz = t_axes
         t_xy = np.minimum(tx, ty)
         hit_axis = np.where(tz < t_xy, 2, (ty < tx).astype(np.intp))
         t_hit = np.minimum(t_xy, tz)
 
-        # sphere detection at closest approach within the segment
+        # sphere detection at closest approach; the dot sums as einsum("ij,ij->i")
         rel = listener - pos
-        s_star = np.clip(np.einsum("ij,ij->i", rel, direction), 0.0, t_hit)
-        closest = pos + s_star[:, None] * direction
-        miss2 = _sum3((closest - listener) ** 2)
+        s_star = np.clip((rel[0] * direction[0] + rel[2] * direction[2])
+                         + rel[1] * direction[1], 0.0, t_hit)
+        miss2 = _sum3((pos + s_star * direction - listener) ** 2)
         detected = ~diffused & (miss2 < r2)
         unfolded = np.sqrt((traveled[detected] + s_star[detected]) ** 2
                            + miss2[detected])
         emit(
-            -direction.compress(detected, axis=0),
+            -direction.compress(detected, axis=1),
             unfolded / SPEED_OF_SOUND,
             energy[detected],
             bounce,
             had_diffuse[detected],
         )
         pos, direction, energy, traveled, had_diffuse, hit_axis, t_hit = (
-            a.compress(~detected, axis=0)
+            a.compress(~detected, axis=-1)
             for a in (pos, direction, energy, traveled, had_diffuse, hit_axis, t_hit)
         )
 
@@ -434,52 +435,53 @@ def trace_paths(scene: Scene, n_rays, max_bounces, receiver_radius, rng_seed=0):
 
         # advance every ray to its wall and absorb there
         # flat index of each ray's hit-axis component: take and put on it beat
-        # fancy (row, column) indexing of the (n, 3) arrays
-        hit = 3 * np.arange(len(energy)) + hit_axis
+        # fancy (row, column) indexing
+        n = len(energy)
+        hit = hit_axis * n + np.arange(n)
         hit_direction = np.take(direction, hit)
         far_wall = hit_direction > 0  # the wall at dims, not the one at 0
-        pos += t_hit[:, None] * direction
+        pos += t_hit * direction
         np.clip(pos, 0.0, dims, out=pos)  # float dust containment
-        np.put(pos, hit, np.where(far_wall, dims[hit_axis], 0.0))
+        np.put(pos, hit, np.where(far_wall, room.dims[hit_axis], 0.0))
         traveled += t_hit
         energy *= 1.0 - room.absorption[hit_axis]
 
         # split the bounce: Lambertian with probability `scattering`; every ray
         # reflects specularly, and the diffuse ones then draw a new direction
-        diffused = rng.uniform(size=len(energy)) < room.scattering
+        diffused = rng.uniform(size=n) < room.scattering
         np.put(direction, hit, -hit_direction)
         rain = np.flatnonzero(diffused)  # integer indices gather faster than the mask
         # the unit normal pointing into the room is sign * e_axis
         axis = hit_axis[rain]
         sign = 1.0 - 2.0 * far_wall[rain]
         # diffuse rain: expected energy caught by the receiver sphere
-        to_l = listener - np.take(pos, rain, axis=0)
+        to_l = listener - np.take(pos, rain, axis=1)
         dist = np.sqrt(_sum3(to_l**2))
-        cos_g = np.maximum(sign * to_l[np.arange(len(rain)), axis] / dist, 0.0)
+        cos_g = np.maximum(sign * to_l[axis, np.arange(len(rain))] / dist, 0.0)
         caught = np.minimum(energy[rain] * cos_g * r2 / dist**2,
                             energy[rain])
         emit(
-            to_l / -dist[:, None],
+            to_l / -dist,
             (traveled[rain] + dist) / SPEED_OF_SOUND,
             caught,
             bounce + 1,
             np.ones(len(rain), dtype=bool),
         )
         energy[rain] -= caught
-        direction[rain] = _lambert_directions(rng, axis, sign)
+        _lambert_directions(rng, direction, rain, axis, sign)
         had_diffuse |= diffused
 
     order = _stable_argsort(np.concatenate(parts[1]))
 
     def sorted_field(part):
         # gathered into delay order as soon as it is joined, its chunks freed
-        # first, so one unsorted field at a time is alive; take is much faster
-        # than field[order] on (n, 3)
-        field = np.concatenate(part)
+        # first, so one unsorted field at a time is alive
+        field = np.concatenate(part, axis=-1)
         part.clear()
-        return np.take(field, order, axis=0)
+        return np.take(field, order, axis=-1)
 
-    return PathSet(*map(sorted_field, parts), emitted_energy=1.0)
+    directions = sorted_field(parts[0]).T.copy()  # (n, 3), C-contiguous
+    return PathSet(directions, *map(sorted_field, parts[1:]), emitted_energy=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -59,33 +59,39 @@ def stable_argsort_agrees(keys):
 
 
 class TestTracerKernels:
+    # the tracer keeps its rays as (3, n) rows; the reference draws (n, 3)
     @pytest.mark.parametrize("axis", [0, 1, 2])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_lambert_frame_matches_the_cross_product_frame(self, axis, sign):
         n = 5000
         normals = np.zeros((n, 3))
         normals[:, axis] = sign
-        got = _lambert_directions(np.random.default_rng(axis), np.full(n, axis),
-                                  np.full(n, sign))
+        got = np.zeros((3, n))
+        _lambert_directions(np.random.default_rng(axis), got, np.arange(n),
+                            np.full(n, axis), np.full(n, sign))
         np.testing.assert_array_equal(
-            got, cross_product_lambert(np.random.default_rng(axis), normals))
-        assert np.all(sign * got[:, axis] >= 0.0)  # into the room
+            got.T, cross_product_lambert(np.random.default_rng(axis), normals))
+        assert np.all(sign * got[axis] >= 0.0)  # into the room
 
     def test_lambert_frame_with_mixed_walls_in_one_call(self):
         rng = np.random.default_rng(9)
         n = 3000
+        rays = np.sort(rng.choice(2 * n, size=n, replace=False))
         axis = rng.integers(0, 3, n)
         sign = 1.0 - 2.0 * (rng.uniform(size=n) < 0.5)
         normals = np.zeros((n, 3))
         normals[np.arange(n), axis] = sign
+        direction = np.full((3, 2 * n), np.nan)
+        _lambert_directions(np.random.default_rng(1), direction, rays, axis, sign)
         np.testing.assert_array_equal(
-            _lambert_directions(np.random.default_rng(1), axis, sign),
-            cross_product_lambert(np.random.default_rng(1), normals))
+            direction[:, rays].T, cross_product_lambert(np.random.default_rng(1), normals))
+        assert np.isnan(np.delete(direction, rays, axis=1)).all()  # other rays untouched
 
     def test_column_sums_match_numpy_reductions(self):
         x = np.random.default_rng(2).standard_normal((10000, 3)) * 1e3
-        np.testing.assert_array_equal(_sum3(x**2), np.sum(x**2, axis=1))
-        np.testing.assert_array_equal(np.sqrt(_sum3(x**2)), np.linalg.norm(x, axis=1))
+        rows = x.T.copy()  # the tracer's layout
+        np.testing.assert_array_equal(_sum3(rows**2), np.sum(x**2, axis=1))
+        np.testing.assert_array_equal(np.sqrt(_sum3(rows**2)), np.linalg.norm(x, axis=1))
 
     @given(st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0, np.inf, -np.inf, np.nan]),
                     max_size=40))
@@ -151,6 +157,29 @@ class TestTypes:
         np.testing.assert_array_equal(ordered.orders, [1, 2, 0])
         np.testing.assert_array_equal(ordered.diffuse, [True, False, False])
         assert masked.emitted_energy == ordered.emitted_energy == 1.0
+
+    @pytest.mark.parametrize("make", [
+        lambda sc: image_source_paths(sc, max_order=0),
+        lambda sc: image_source_paths(sc, max_order=3),
+        lambda sc: trace_paths(sc, n_rays=1, max_bounces=0, receiver_radius=0.3),  # empty
+        lambda sc: trace_paths(sc, n_rays=1, max_bounces=40, receiver_radius=0.3,
+                               rng_seed=4),
+        lambda sc: trace_paths(sc, n_rays=20000, max_bounces=0, receiver_radius=0.3),
+        lambda sc: trace_paths(sc, n_rays=2000, max_bounces=10, receiver_radius=0.3),
+    ], ids=["image-0", "image-3", "trace-empty", "trace-1-ray", "trace-0-bounces",
+            "trace-10-bounces"])
+    def test_path_set_fields_have_the_documented_layout(self, make):
+        # encode_srir and propagate read directions as C-contiguous (n, 3)
+        # rows, never a transposed view of the tracer's (3, n) rays
+        ps = make(demo_scene(alpha=0.05, scattering=0.5))
+        n = len(ps)
+        assert ps.directions.shape == (n, 3) and ps.directions.flags.c_contiguous
+        for name, dtype in (("directions", np.float64), ("delays", np.float64),
+                            ("amplitudes", np.float64), ("orders", np.int64),
+                            ("diffuse", np.bool_)):
+            assert getattr(ps, name).dtype == dtype, name
+        for name in ("delays", "amplitudes", "orders", "diffuse"):
+            assert getattr(ps, name).shape == (n,), name
 
 
 class TestSampleScenes:
@@ -264,6 +293,17 @@ class TestImageSource:
                     images.append(img)
             expected = sorted(np.linalg.norm(i - lst) / C for i in images)
             np.testing.assert_allclose(np.sort(ps.delays), expected, atol=1e-12)
+
+    @pytest.mark.parametrize("max_order", [2.5, True, -1])
+    def test_bad_max_order_is_refused_by_name(self, max_order):
+        with pytest.raises(ValueError, match="max_order must be an integer >= 0"):
+            image_source_paths(demo_scene(), max_order=max_order)
+
+    def test_numpy_integer_max_order_is_accepted(self):
+        got = image_source_paths(demo_scene(), max_order=np.int64(2))
+        want = image_source_paths(demo_scene(), max_order=2)
+        for f in fields(PathSet):
+            np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name))
 
     def test_amplitude_spreading_law(self):
         ps = image_source_paths(demo_scene(alpha=0.0), max_order=0)
@@ -382,6 +422,25 @@ class TestTracer:
     def test_negative_max_bounces_rejected(self):
         with pytest.raises(ValueError, match="max_bounces"):
             trace_paths(demo_scene(), n_rays=10, max_bounces=-1, receiver_radius=0.3)
+
+    @pytest.mark.parametrize("name, value", [
+        ("n_rays", 10.0), ("n_rays", True), ("max_bounces", 2.5),
+        ("max_bounces", True), ("rng_seed", -1), ("rng_seed", 1.0),
+    ])
+    def test_non_integer_counts_and_negative_seeds_are_refused_by_name(self, name, value):
+        kwargs = dict(n_rays=10, max_bounces=2, receiver_radius=0.3, rng_seed=0)
+        kwargs[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            trace_paths(demo_scene(), **kwargs)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        ints = trace_paths(demo_scene(scattering=0.5), n_rays=200, max_bounces=5,
+                           receiver_radius=0.3, rng_seed=3)
+        numpy_ints = trace_paths(demo_scene(scattering=0.5), n_rays=np.int64(200),
+                                 max_bounces=np.int32(5), receiver_radius=0.3,
+                                 rng_seed=np.uint64(3))
+        for f in fields(PathSet):
+            np.testing.assert_array_equal(getattr(numpy_ints, f.name), getattr(ints, f.name))
 
 
 class TestReverbOracles:
