@@ -539,6 +539,70 @@ def _outputs(net: Network, x):
     return np.concatenate([net.forward(x[s : s + chunk]) for s in range(0, len(x), chunk)])
 
 
+def _window_outputs(net: Network, feats, hop_frames):
+    """Inference-mode per-frame outputs (n, frames, d) of the windows
+    ``feats[:, s : s + frames]``, s = 0, ``hop_frames``, ..., of a recording's
+    features (6, total, bins), without running every window through the trunk
+    (the layers before ``FrameFlatten``).
+
+    In inference mode only the trunk's L 3x3 convolutions mix frames, one
+    either side each, so frame p of a window sees the window's zero padding
+    only when p < L or p >= frames - L: an interior frame has the same trunk
+    output in every window that holds it. Every m-th window, m = max(1,
+    (frames - 2L) // hop_frames), and the last run whole, and their interiors
+    cover all others'. The others take their first and last L frames from
+    2L-frame pieces ``feats[:, u : u + 2L]``, one per u, each serving the left
+    edge of window u and the right edge of window u - (frames - 2L). Trunk
+    calls take at most ``PREDICT_ELEMENTS`` input elements; the head runs on
+    the chunks of :func:`_outputs`, as BiLSTM GEMMs of other row counts can
+    change bits. OpenBLAS computes a GEMM's last columns with kernels picked
+    by its width, so an edge frame from a piece can differ from the whole
+    window's in the last bits: predictions equal :func:`predict`'s at the
+    desk preset and lie within a few ulp of them at the paper preset.
+    """
+    cfg = net.config
+    frames, edge = cfg.frames, len(cfg.conv_channels)
+    inner, split = frames - 2 * edge, 4 * edge  # four layers per conv stage
+    n = (feats.shape[1] - frames) // hop_frames + 1
+    m = max(1, inner // hop_frames)
+    trunk = {}  # (start, length) -> trunk output (channels, length, bins)
+
+    def run_trunk(starts, length):
+        todo = [s for s in dict.fromkeys(starts) if (s, length) not in trunk]
+        per = max(1, PREDICT_ELEMENTS // (6 * length * cfg.freq_bins))
+        for i in range(0, len(todo), per):
+            x = np.stack([feats[:, s : s + length] for s in todo[i : i + per]])
+            for layer in net.layers[:split]:
+                x = layer.forward(x)
+            trunk.update(zip([(s, length) for s in todo[i : i + per]], x))
+
+    def window(k):
+        s, j = k * hop_frames, k // m * m
+        if k == j or k == n - 1:
+            return trunk[s, frames]
+        d, e = s - j * hop_frames, min(j + m, n - 1) * hop_frames - s
+        lo, hi = trunk[s - d, frames], trunk[s + e, frames]  # the whole windows either side
+        return np.concatenate([trunk[s, 2 * edge][:, :edge],
+                               lo[:, edge + d : frames - edge],
+                               hi[:, frames - edge - d - e : frames - edge - e],
+                               trunk[s + inner, 2 * edge][:, edge:]], axis=1)
+
+    chunk, outputs = max(1, PREDICT_ELEMENTS // (6 * frames * cfg.freq_bins)), []
+    for a in range(0, n, chunk):
+        ks = range(a, min(a + chunk, n))
+        run_trunk([min(j, n - 1) * hop_frames for j in range(a // m * m, ks[-1] + m, m)],
+                  frames)
+        run_trunk([k * hop_frames + d for k in ks if k % m and k != n - 1
+                   for d in (0, inner)], 2 * edge)
+        x = np.stack([window(k) for k in ks])
+        for layer in net.layers[split:]:
+            x = layer.forward(x)
+        outputs.append(x)
+        # no later window reads a start before its chunk's first whole window
+        trunk = {sl: y for sl, y in trunk.items() if sl[0] >= ks.stop // m * m * hop_frames}
+    return np.concatenate(outputs)
+
+
 def predict(net: Network, x):
     """Unit directions (n, 3) for a batch of feature tensors (n, 6, frames, bins)."""
     return decode_outputs(_outputs(net, x), net.formulation)
@@ -552,7 +616,7 @@ def predict_sample(net: Network, feature_tensor):
 def predict_window(net: Network, window):
     """Direction estimate from a spectrogram of exactly ``config.frames``
     frames: the single-window case. :func:`ambidoa.evaluate.track` featurises
-    a whole recording once and batches its windows through :func:`predict`."""
+    a whole recording once and runs its windows through :func:`_window_outputs`."""
     return predict_sample(net, intensity_features(window).values)
 
 

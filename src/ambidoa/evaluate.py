@@ -19,8 +19,9 @@ from functools import partial
 
 import numpy as np
 
-from .acoustics import image_source_paths, trace_paths
-from .estimator import NetworkConfig, TrainConfig, _is_finite, _is_int, predict, train
+from .acoustics import _check_count, image_source_paths, trace_paths
+from .estimator import (NetworkConfig, TrainConfig, _is_finite, _is_int, _window_outputs,
+                        decode_outputs, predict, train)
 from .features import (
     babble_noise,
     convolve_foa,
@@ -340,8 +341,9 @@ def track(window_predictor, signal, truth, hop_frames, frames=25, window=1024):
     whole recording's spectrogram and returns one unit direction per window,
     for windows starting at frames 0, ``hop_frames``, 2 * ``hop_frames``, ...;
     timestamps mark each window's center-frame time."""
-    if hop_frames < 1:
-        raise ValueError("hop_frames must be >= 1")
+    for name, value, least in (("hop_frames", hop_frames, 1), ("frames", frames, 1),
+                               ("window", window, 2)):
+        _check_count(name, value, least)
     hop = window // 2
     total_frames = (signal.channels.shape[1] - window) // hop + 1
     if total_frames < frames:
@@ -360,16 +362,19 @@ def track(window_predictor, signal, truth, hop_frames, frames=25, window=1024):
 
 
 def net_window_predictor(net):
-    """Featurise the recording once and run every window through one chunked
-    :func:`ambidoa.estimator.predict`. Intensity features are pointwise per
-    time-frequency bin, so each window of the whole-recording features holds
-    the bits of that window featurised alone; the windows are a strided view,
-    and ``predict`` copies one chunk of them at a time."""
+    """Featurise the recording once and run its windows through the network,
+    only every few of them whole through the conv trunk
+    (:func:`ambidoa.estimator._window_outputs`). Intensity features are
+    pointwise per time-frequency bin, so each window of the whole-recording
+    features holds the bits of that window featurised alone."""
 
     def predictor(spec, frames, hop_frames):
+        for name, got in (("frames", frames), ("freq_bins", spec.bins.shape[2])):
+            if got != getattr(net.config, name):
+                raise ValueError(f"{name} is {got}; the model takes "
+                                 f"config.{name} = {getattr(net.config, name)}")
         feats = intensity_features(spec).values  # (6, total_frames, bins)
-        windows = np.lib.stride_tricks.sliding_window_view(feats, frames, axis=1)
-        return predict(net, windows[:, ::hop_frames].transpose(1, 0, 3, 2))
+        return decode_outputs(_window_outputs(net, feats, hop_frames), net.formulation)
 
     return predictor
 

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ambidoa import estimator, evaluate, music
+from ambidoa import estimator, evaluate, music, nn
 from ambidoa.acoustics import (
     PathSet,
     RoomConfig,
@@ -20,7 +22,6 @@ from ambidoa.acoustics import (
 )
 from ambidoa.estimator import (
     Formulation,
-    Network,
     NetworkConfig,
     TrainConfig,
     build_network,
@@ -294,6 +295,57 @@ class TestPropagate:
         assert after[0] == after[1]
 
 
+def _net_with_running_stats(config, seed):
+    """A cartesian network whose batch-norm running statistics are not the
+    identity, so the trunk's inference path does real work."""
+    net = build_network(config, Formulation("cartesian"), seed=seed)
+    rng = np.random.default_rng(seed)
+    for name, buf in net.buffers.items():
+        buf[...] = rng.uniform(0.5, 1.5, buf.shape) if "var" in name else \
+            rng.normal(0.0, 0.1, buf.shape)
+    return net
+
+
+def _model_track_and_predict(net, total_frames, hop_frames):
+    """Model-track predictions over a noisy plane wave ``total_frames`` STFT
+    frames long, and :func:`predict` on the same windows stacked."""
+    cfg = net.config
+    window = (cfg.freq_bins - 1) * 2
+    rng = np.random.default_rng(total_frames)
+    u = to_cartesian(0.7, 0.2)
+    sig = encode_plane_wave(rng.standard_normal((total_frames - 1) * (window // 2) + window),
+                            u, 16000)
+    sig.channels[:] += 0.1 * rng.standard_normal(sig.channels.shape)
+    got = track(net_window_predictor(net), sig, u, hop_frames, frames=cfg.frames,
+                window=window).predictions
+    feats = intensity_features(stft(sig, frames=total_frames, window=window)).values
+    starts = range(0, total_frames - cfg.frames + 1, hop_frames)
+    return got, predict(net, np.stack([feats[:, s : s + cfg.frames] for s in starts]))
+
+
+# model-track predictions at the desk preset at hops 1 and 5; prints, per
+# hop, the digest of the predictions and whether they equal predict's bits
+MODEL_TRACK_DIGESTS = """
+import hashlib
+import numpy as np
+from ambidoa.estimator import Formulation, NetworkConfig, build_network, predict
+from ambidoa.evaluate import net_window_predictor, track
+from ambidoa.features import intensity_features, stft
+from ambidoa.foa import encode_plane_wave
+rng = np.random.default_rng(3)
+net = build_network(NetworkConfig.desk(), Formulation("cartesian"), seed=5)
+for buf in net.buffers.values():
+    buf[...] = rng.uniform(0.5, 1.5, buf.shape)
+sig = encode_plane_wave(rng.standard_normal(26000), np.array([0.6, 0.0, 0.8]), 16000)
+sig.channels[:] += 0.1 * rng.standard_normal(sig.channels.shape)
+feats = intensity_features(stft(sig, frames=202, window=256)).values
+for hop in (1, 5):
+    got = track(net_window_predictor(net), sig, (0.6, 0.0, 0.8), hop, window=256).predictions
+    want = predict(net, np.stack([feats[:, s : s + 25] for s in range(0, 178, hop)]))
+    print(hop, hashlib.sha256(got.tobytes()).hexdigest(), np.array_equal(got, want))
+"""
+
+
 class TestMetrics:
     def test_angular_error_basics(self):
         a = to_cartesian(0.0, 0.0)
@@ -371,6 +423,74 @@ class TestTrack:
             alone = intensity_features(replace(spec, bins=spec.bins[:, s : s + 25]))
             assert np.array_equal(windows[:, s].transpose(0, 2, 1), alone.values)
 
+    @pytest.mark.parametrize("hop_frames", [1, 2, 7, 19, 20, 25, 40])
+    @pytest.mark.parametrize("last_on_grid", [True, False], ids=["on-grid", "off-grid"])
+    def test_model_track_is_predict_on_the_stacked_windows(self, hop_frames, last_on_grid):
+        # desk: L = 3 conv stages, so windows 0, m, 2m, ... and the last run
+        # whole, m = (25 - 6) // hop_frames; 19 is frames - 2L and 20 one more
+        net = _net_with_running_stats(NetworkConfig.desk(), seed=4)
+        m = max(1, 19 // hop_frames)
+        last = 5 * m + (0 if last_on_grid else 1)  # index of the last window
+        got, want = _model_track_and_predict(net, 25 + last * hop_frames, hop_frames)
+        assert len(got) == last + 1
+        assert np.array_equal(got, want)
+
+    def test_model_track_at_the_paper_preset_is_predict_within_two_ulp(self):
+        net = _net_with_running_stats(NetworkConfig.paper(), seed=4)
+        got, want = _model_track_and_predict(net, 25 + 40, hop_frames=1)
+        assert len(got) == 41
+        assert np.abs(got - want).max() <= 4.4e-16
+
+    @pytest.mark.parametrize("hop_frames", [1, 2])
+    def test_model_track_at_the_tiny_preset_runs_every_window_whole(self, hop_frames):
+        # 3 frames <= 2L, so no frame of a window is interior
+        net = _net_with_running_stats(NetworkConfig.tiny(), seed=4)
+        got, want = _model_track_and_predict(net, 40, hop_frames)
+        assert np.array_equal(got, want)
+
+    def test_model_track_is_predict_under_one_and_two_blas_threads(self):
+        path = [os.path.dirname(os.path.dirname(estimator.__file__))]
+        path += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+        runs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(path)}
+            run = subprocess.run([sys.executable, "-c", MODEL_TRACK_DIGESTS], env=env,
+                                 capture_output=True, text=True, check=True)
+            runs.append(run.stdout.splitlines())
+        assert len(runs[0]) == 2
+        assert all(line.endswith(" True") for line in runs[0] + runs[1])
+        assert runs[0] == runs[1]
+
+    def test_model_track_refuses_a_window_of_other_frames(self):
+        net = build_network(NetworkConfig.desk(), Formulation("cartesian"), seed=1)
+        sig = encode_plane_wave(np.ones(6000), to_cartesian(0.0, 0.0), 16000)
+        with pytest.raises(ValueError, match=r"frames is 24; .*config\.frames = 25"):
+            track(net_window_predictor(net), sig, (1.0, 0.0, 0.0), 1, frames=24, window=256)
+
+    def test_model_track_refuses_features_of_other_bins(self):
+        net = build_network(NetworkConfig.desk(), Formulation("cartesian"), seed=1)
+        sig = encode_plane_wave(np.ones(16000), to_cartesian(0.0, 0.0), 16000)
+        with pytest.raises(ValueError, match=r"freq_bins is 257; .*config\.freq_bins = 129"):
+            track(net_window_predictor(net), sig, (1.0, 0.0, 0.0), 1, frames=25, window=512)
+
+    @pytest.mark.parametrize("field, value", [
+        ("hop_frames", 2.5), ("hop_frames", True), ("hop_frames", 0),
+        ("frames", 2.5), ("frames", True), ("frames", 0),
+        ("window", 256.0), ("window", True), ("window", 1), ("window", 0),
+    ])
+    def test_track_refuses_a_bad_geometry_by_name(self, field, value):
+        sig = encode_plane_wave(np.ones(6000), to_cartesian(0.0, 0.0), 16000)
+        kwargs = {"hop_frames": 1, "frames": 25, "window": 256, field: value}
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer >= "):
+            track(music_window_predictor(build_grid(10.0)), sig, (1.0, 0.0, 0.0), **kwargs)
+
+    def test_track_accepts_numpy_integer_geometry(self):
+        sig = encode_plane_wave(np.ones(6000), to_cartesian(0.0, 0.0), 16000)
+        result = track(music_window_predictor(build_grid(10.0)), sig, (1.0, 0.0, 0.0),
+                       np.int64(4), frames=np.int64(25), window=np.int32(256))
+        assert len(result.predictions) == len(range(0, (6000 - 256) // 128 - 23, 4))
+
     @pytest.mark.parametrize("hop_frames", [1, 5])
     def test_model_track_featurises_once_and_forwards_in_chunks(self, hop_frames,
                                                                 monkeypatch):
@@ -378,19 +498,24 @@ class TestTrack:
         u = to_cartesian(0.3, 0.2)
         sig = encode_plane_wave(rng.standard_normal(8000), u, 16000)
         net = build_network(NetworkConfig.desk(), Formulation("cartesian"), seed=3)
-        featurised, forwards = [], []
-        features_of, forward = evaluate.intensity_features, Network.forward
+        featurised, trunk_sizes, head_batches = [], [], []
+        features_of = evaluate.intensity_features
+        split = [type(layer) for layer in net.layers].index(nn.FrameFlatten)
 
         def counted_features(spec):
             featurised.append(spec.n_frames)
             return features_of(spec)
 
-        def counted_forward(self, x, train=False):
-            forwards.append(len(x))
-            return forward(self, x, train)
+        def counted(calls, measure, forward):
+            def spy(x, train=False):
+                calls.append(measure(x))
+                return forward(x, train)
+            return spy
 
         monkeypatch.setattr(evaluate, "intensity_features", counted_features)
-        monkeypatch.setattr(Network, "forward", counted_forward)
+        first, head = net.layers[0], net.layers[split]
+        monkeypatch.setattr(first, "forward", counted(trunk_sizes, np.size, first.forward))
+        monkeypatch.setattr(head, "forward", counted(head_batches, len, head.forward))
         result = track(net_window_predictor(net), sig, u, hop_frames=hop_frames,
                        frames=25, window=256)
         monkeypatch.undo()
@@ -399,8 +524,11 @@ class TestTrack:
         chunk = estimator.PREDICT_ELEMENTS // (6 * 25 * 129)
         assert len(result.predictions) == n
         assert featurised == [total]
-        assert len(forwards) == -(-n // chunk)
-        assert forwards[:-1] == [chunk] * (len(forwards) - 1) and sum(forwards) == n
+        assert trunk_sizes and max(trunk_sizes) <= estimator.PREDICT_ELEMENTS
+        # the head runs on the chunks predict uses, so BiLSTM GEMMs keep their rows
+        assert len(head_batches) == -(-n // chunk)
+        assert head_batches[:-1] == [chunk] * (len(head_batches) - 1)
+        assert sum(head_batches) == n
 
     def test_music_track_scores_each_window_alone(self):
         rng = np.random.default_rng(8)
