@@ -125,6 +125,8 @@ def _load_records(manifest, config, consumer):
     the shape that ``config`` takes; ``consumer`` names the network. Only the
     first sample is read, so a mismatch stops before the rest is loaded."""
     records = load_manifest(manifest)
+    if not records:
+        raise ValueError(f"{manifest}: the manifest lists no samples")
     base = os.path.dirname(os.path.abspath(manifest))
     shape = load_dataset(records[:1], base)[0].shape[1:]
     expected = (6, config.frames, config.freq_bins)

@@ -424,13 +424,19 @@ class _AdamState:
         self.t = 0
 
 
-def _adam_step(net: Network, state: _AdamState, lr):
-    grads = net.grads
-    total = np.sqrt(sum(float((g**2).sum()) for g in grads.values()))
+def _clip_gradients(grads):
+    """Scale ``grads`` in place down to global norm ``CLIP_NORM`` when their
+    norm exceeds it; return the norm before clipping."""
+    total = float(np.sqrt(sum(float((g**2).sum()) for g in grads.values())))
     if total > CLIP_NORM:
         scale = CLIP_NORM / total
         for g in grads.values():
             g *= scale
+    return total
+
+
+def _adam_step(net: Network, state: _AdamState, lr):
+    grads = net.grads
     state.t += 1
     t = state.t
     for name, p in net.params.items():
@@ -450,7 +456,9 @@ def train(features, unit_labels, formulation: Formulation, cfg: TrainConfig,
 
     ``features`` is an (n, 6, frames, bins) array, ``unit_labels`` (n, 3).
     Returns the trained network and a per-epoch history with train loss,
-    validation loss, and mean validation angular error in degrees.
+    validation loss, mean validation angular error in degrees, and the
+    mean and largest global gradient norm before clipping with the fraction
+    of batches whose gradients were clipped.
     """
     features = np.asarray(features, dtype=np.float64)
     unit_labels = np.asarray(unit_labels, dtype=np.float64)
@@ -475,7 +483,7 @@ def train(features, unit_labels, formulation: Formulation, cfg: TrainConfig,
     history = []
     for epoch in range(cfg.epochs):
         perm = train_idx[rng.permutation(train_idx.size)]
-        running, batches = 0.0, 0
+        running, batches, norms = 0.0, 0, []
         for start in range(0, perm.size, cfg.batch_size):
             sel = perm[start : start + cfg.batch_size]
             try:
@@ -488,11 +496,14 @@ def train(features, unit_labels, formulation: Formulation, cfg: TrainConfig,
                 raise TrainingDiverged(
                     f"non-finite loss {loss} at epoch {epoch}, batch {batches}"
                 )
+            norms.append(_clip_gradients(net.grads))
             if cfg.learning_rate > 0:
                 _adam_step(net, adam, cfg.learning_rate)
             running += float(loss)
             batches += 1
-        entry = {"epoch": epoch, "train_loss": running / batches}
+        entry = {"epoch": epoch, "train_loss": running / batches,
+                 "grad_norm_mean": sum(norms) / batches, "grad_norm_max": max(norms),
+                 "clip_fraction": sum(g > CLIP_NORM for g in norms) / batches}
         if val_idx.size:
             val_out = _outputs(net, features[val_idx])
             entry["val_loss"] = float(loss_fn(val_out, labels[val_idx]))
@@ -605,6 +616,8 @@ def _window_outputs(net: Network, feats, hop_frames):
 
 def predict(net: Network, x):
     """Unit directions (n, 3) for a batch of feature tensors (n, 6, frames, bins)."""
+    if len(x) == 0:
+        raise ValueError("predict needs at least one feature tensor, got an empty batch")
     return decode_outputs(_outputs(net, x), net.formulation)
 
 

@@ -284,7 +284,10 @@ def load_manifest(path):
 
 
 def load_dataset(records, base_dir):
-    """Stack feature tensors and labels from manifest records."""
+    """Stack feature tensors and labels from manifest records, whose feature
+    paths are relative to ``base_dir``; an empty record list is refused."""
+    if not records:
+        raise ValueError(f"no manifest records to load features from {base_dir}")
     feats, labels = [], []
     for rec in records:
         feats.append(read_features(os.path.join(base_dir, rec.features_path)).values)

@@ -6,11 +6,15 @@ shape contract: convolutional stages work on (batch, channels, frames, bins)
 tensors, recurrent/dense stages on (batch, frames, features).
 
 Weight initialization is fan-in-scaled uniform, drawn from a caller-supplied
-generator so a fixed seed reproduces parameters bit for bit.
+generator so a fixed seed reproduces parameters bit for bit. Weight gradients
+reduce over batch x frames (x bins) rows in fixed pieces of at most
+``K_CHUNK`` rows, added in order, so their bits do not depend on the number
+of BLAS threads.
 """
 
 from __future__ import annotations
 
+import weakref
 from types import MappingProxyType
 
 import numpy as np
@@ -27,9 +31,12 @@ __all__ = [
 
 BN_MOMENTUM = 0.9
 BN_EPS = 1e-5
-# Reduction length of one weight-gradient GEMM: BLAS splits a longer sum
-# differently per thread count, so the bits would depend on it.
-K_CHUNK = 512
+# Longest reduction of one weight-gradient GEMM. Every layer sums its weight
+# gradient over batch x frames (x bins) rows in fixed pieces of at most this
+# many rows, added in order: OpenBLAS splits a longer reduction across its
+# threads (400 rows as 200 + 200 on two), so the bits would depend on the
+# thread count.
+K_CHUNK = 256
 
 
 def _uniform_init(rng, shape, fan_in):
@@ -63,9 +70,11 @@ class Layer:
 
 class Conv2d(Layer):
     """3x3 same-padded convolution over (frames, bins), lowered to one GEMM
-    per sample: im2col gathers a (c_in*9, frames*bins) column matrix, and
-    col2im scatters its gradient back. Columns are built for one sample at a
-    time, so the buffer never holds the whole batch. ``backward(dy,
+    per sample: im2col gathers a (c_in*9, frames*bins) column matrix. The
+    input gradient is the transposed convolution, the same lowering applied
+    to the zero-padded output gradient with the kernels flipped in both axes
+    and their channel axes swapped. Columns are built for one sample at a
+    time, so the buffers never hold the whole batch. ``backward(dy,
     need_dx=False)`` builds only the parameter gradients: the network's first
     layer has no use for the gradient of its input features."""
 
@@ -105,10 +114,14 @@ class Conv2d(Layer):
         xpad = self._xpad
         b, c, tp, fp = xpad.shape
         t, f = tp - 2, fp - 2
-        w = self.params["w"].reshape(self.c_out, c * 9)
         dw = self.grads["w"].reshape(self.c_out, c * 9)  # a view: += accumulates
         cols = np.empty((c, 3, 3, t, f))
-        dxpad = np.zeros_like(xpad) if need_dx else None
+        if need_dx:
+            w_flip = self.params["w"][:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            w_flip = w_flip.reshape(c, self.c_out * 9)
+            dypad = np.zeros((self.c_out, tp, fp))  # the border stays zero
+            dcols = np.empty((self.c_out, 3, 3, t, f))
+            dx = np.empty((b, c, t, f))
         for i in range(b):
             self._im2col(xpad[i], cols)
             dy_i = dy[i].reshape(self.c_out, t * f)
@@ -116,12 +129,12 @@ class Conv2d(Layer):
             for k in range(0, t * f, K_CHUNK):  # fixed chunks, summed in order
                 dw += dy_i[:, k : k + K_CHUNK] @ cols_i[:, k : k + K_CHUNK].T
             if need_dx:
-                dcols = (w.T @ dy_i).reshape(c, 3, 3, t, f)
-                for dt in range(3):
-                    for df in range(3):
-                        dxpad[i, :, dt : dt + t, df : df + f] += dcols[:, dt, df]
+                dypad[:, 1:-1, 1:-1] = dy[i]
+                self._im2col(dypad, dcols)
+                np.matmul(w_flip, dcols.reshape(self.c_out * 9, t * f),
+                          out=dx[i].reshape(c, t * f))
         self.grads["b"] += dy.sum(axis=(0, 2, 3))
-        return dxpad[:, :, 1:-1, 1:-1] if need_dx else None
+        return dx if need_dx else None
 
 
 class BatchNorm2d(Layer):
@@ -186,21 +199,49 @@ class ReLU(Layer):
 
 class MaxPoolFreq(Layer):
     """Max pooling over the frequency axis only, window = stride = factor.
-    Trailing bins that do not fill a window are dropped."""
+    Trailing bins that do not fill a window are dropped.
+
+    The two forward modes give the same bits. Training mode takes each
+    window's argmax, which ``backward`` routes the gradient to and the
+    gradient check reads as the active piece. Inference mode takes
+    ``np.maximum`` over the factor strided columns instead, a fraction of the
+    argmax's cost, and keeps only a weak reference to its input: a
+    ``backward`` after it finds each window's first maximum in that input
+    while the caller still holds it, and inference holds no activation
+    alive for a backward pass that never comes."""
 
     def __init__(self, factor):
         self.factor = factor
 
-    def forward(self, x, train=False):
+    def _blocks(self, x):
         b, c, t, f = x.shape
         k = self.factor
-        f_out = f // k
-        blocks = x[:, :, :, : f_out * k].reshape(b, c, t, f_out, k)
-        self._argmax = blocks.argmax(axis=4)[..., None]
-        self._in_bins = f
+        return x[:, :, :, : f // k * k].reshape(b, c, t, f // k, k)
+
+    def forward(self, x, train=False):
+        self._in_bins = x.shape[3]
+        if not train:
+            k = self.factor
+            n = x.shape[3] // k * k
+            out = x[..., 0:n:k].copy()
+            for j in range(1, k):
+                np.maximum(out, x[..., j:n:k], out=out)
+            # np.maximum may return either of two equal zeros (+0.0, -0.0) or
+            # NaNs; the argmax below keeps the first, so only it decides those
+            if out.all() and not np.isnan(out).any():
+                self._x, self._argmax = weakref.ref(x), None
+                return out
+        blocks = self._blocks(x)
+        self._x, self._argmax = None, blocks.argmax(axis=4)[..., None]
         return np.take_along_axis(blocks, self._argmax, axis=4)[..., 0]
 
     def backward(self, dy):
+        if self._argmax is None:  # after an inference-mode forward
+            x = self._x()
+            if x is None:
+                raise RuntimeError("MaxPoolFreq.backward after an inference-mode "
+                                   "forward needs that forward's input alive")
+            self._argmax = self._blocks(x).argmax(axis=4)[..., None]
         b, c, t, f_out = dy.shape
         k = self.factor
         dx = np.zeros((b, c, t, self._in_bins))
@@ -231,6 +272,11 @@ class BiLSTM(Layer):
     reversed. ``w``, ``u`` and ``b`` hold both directions' weights, and
     ``params``/``grads`` name each direction's slice ``{w,u,b}_{fwd,bwd}``.
     Gate order (input, forget, cell, output).
+
+    The input projection of every step is one GEMM per direction before the
+    time loop, and the backward loop keeps only the recurrence: it stores
+    each step's pre-activation gradient, and the weight gradients are GEMMs
+    over all steps' rows after it, in ``K_CHUNK``-row pieces.
     """
 
     def __init__(self, d_in, hidden, rng):
@@ -249,65 +295,64 @@ class BiLSTM(Layer):
                 self.grads[f"{k}_{side}"] = g[d]
 
     def forward(self, x, train=False):
-        b, t, _ = x.shape
+        b, t, d = x.shape
         h = self.hidden
-        xs = np.stack([x, x[:, ::-1]])
-        w_t, u_t = self.w.transpose(0, 2, 1), self.u.transpose(0, 2, 1)
-        hs = np.empty((2, b, t, h))
+        xs = self._xs = np.stack([x, x[:, ::-1]])
+        xw = (xs.reshape(2, b * t, d) @ self.w.transpose(0, 2, 1)).reshape(2, b, t, 4 * h)
+        u_t = self.u.transpose(0, 2, 1)
+        # slot 0 is the zero initial state and step s writes slot s + 1, so
+        # slot s is the h_prev of step s
+        hs = self._hs = np.zeros((2, b, t + 1, h))
         cache = []
-        h_prev = np.zeros((2, b, h))
         c_prev = np.zeros((2, b, h))
         for step in range(t):
-            x_t = xs[:, :, step]
-            z = x_t @ w_t + h_prev @ u_t + self.b[:, None]
+            z = xw[:, :, step] + hs[:, :, step] @ u_t
+            z += self.b[:, None]
             s = _sigmoid(z)
             i, f, o = s[..., :h], s[..., h : 2 * h], s[..., 3 * h :]
             g = np.tanh(z[..., 2 * h : 3 * h])
             c = f * c_prev + i * g
             tanh_c = np.tanh(c)
-            h_now = o * tanh_c
-            hs[:, :, step] = h_now
-            cache.append((x_t, h_prev, c_prev, i, f, g, o, tanh_c))
-            h_prev, c_prev = h_now, c
+            hs[:, :, step + 1] = o * tanh_c
+            cache.append((c_prev, i, f, g, o, tanh_c))
+            c_prev = c
         self._cache = cache
-        return np.concatenate([hs[0], hs[1, :, ::-1]], axis=2)
+        return np.concatenate([hs[0, :, 1:], hs[1, :, :0:-1]], axis=2)
 
     def backward(self, dy):
         b, t, _ = dy.shape
         h = self.hidden
         dhs = np.stack([dy[:, :, :h], dy[:, ::-1, h:]])
-        dxs = np.empty((2, b, t, self.w.shape[2]))
+        dz = np.empty((2, b, t, 4 * h))
         dh_next = np.zeros((2, b, h))
         dc_next = np.zeros((2, b, h))
         for step in range(t - 1, -1, -1):
-            x_t, h_prev, c_prev, i, f, g, o, tanh_c = self._cache[step]
+            c_prev, i, f, g, o, tanh_c = self._cache[step]
             dh = dhs[:, :, step] + dh_next
             do = dh * tanh_c
             dc = dc_next + dh * o * (1.0 - tanh_c**2)
-            di = dc * g
-            df = dc * c_prev
-            dg = dc * i
             dc_next = dc * f
-            dz = np.concatenate(
-                [
-                    di * i * (1 - i),
-                    df * f * (1 - f),
-                    dg * (1 - g**2),
-                    do * o * (1 - o),
-                ],
-                axis=2,
-            )
-            dz_t = dz.transpose(0, 2, 1)
-            self.dw += dz_t @ x_t
-            self.du += dz_t @ h_prev
-            self.db += dz.sum(axis=1)
-            dxs[:, :, step] = dz @ self.w
-            dh_next = dz @ self.u
+            dz_t = dz[:, :, step]
+            dz_t[..., :h] = dc * g * i * (1 - i)
+            dz_t[..., h : 2 * h] = dc * c_prev * f * (1 - f)
+            dz_t[..., 2 * h : 3 * h] = dc * i * (1 - g**2)
+            dz_t[..., 3 * h :] = do * o * (1 - o)
+            dh_next = dz_t @ self.u
+        dz = dz.reshape(2, b * t, 4 * h)
+        xs = self._xs.reshape(2, b * t, -1)
+        h_prev = self._hs[:, :, :t].reshape(2, b * t, h)
+        for k in range(0, b * t, K_CHUNK):
+            dz_k = dz[:, k : k + K_CHUNK].transpose(0, 2, 1)
+            self.dw += dz_k @ xs[:, k : k + K_CHUNK]
+            self.du += dz_k @ h_prev[:, k : k + K_CHUNK]
+        self.db += dz.sum(axis=1)
+        dxs = (dz @ self.w).reshape(2, b, t, -1)
         return dxs[0] + dxs[1, :, ::-1]
 
 
 class TimeDense(Layer):
-    """Affine map applied independently at every frame."""
+    """Affine map applied independently at every frame; the weight gradient
+    sums over batch x frames rows in ``K_CHUNK``-row pieces."""
 
     def __init__(self, d_in, d_out, rng):
         self._declare(w=_uniform_init(rng, (d_out, d_in), d_in),
@@ -318,6 +363,9 @@ class TimeDense(Layer):
         return x @ self.params["w"].T + self.params["b"]
 
     def backward(self, dy):
-        self.grads["w"] += np.einsum("bto,bti->oi", dy, self._x, optimize=True)
+        d_out, d_in = self.params["w"].shape
+        dy2, x2 = dy.reshape(-1, d_out), self._x.reshape(-1, d_in)
+        for k in range(0, len(dy2), K_CHUNK):  # fixed chunks, summed in order
+            self.grads["w"] += dy2[k : k + K_CHUNK].T @ x2[k : k + K_CHUNK]
         self.grads["b"] += dy.sum(axis=(0, 1))
         return dy @ self.params["w"]

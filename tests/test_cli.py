@@ -238,6 +238,20 @@ class TestPipeline:
                     "--out", str(tmp_path / "o")]) == 1
 
 
+def test_empty_manifest_is_refused_by_name(tmp_path, capsys):
+    manifest = tmp_path / "empty.jsonl"
+    manifest.write_text("")
+    model = tmp_path / "desk.adom"
+    save_model(model, build_network(NetworkConfig.desk(), Formulation("cartesian")))
+    for argv in (["train", "--manifest", str(manifest), "--formulation", "cartesian",
+                  "--out", str(tmp_path / "m.adom")],
+                 ["eval", "--model", str(model), "--manifest", str(manifest),
+                  "--report", str(tmp_path / "e.csv")]):
+        assert run(argv) == 2
+        assert f"error: {manifest}: the manifest lists no samples" in capsys.readouterr().err
+    assert not (tmp_path / "m.adom").exists() and not (tmp_path / "e.csv").exists()
+
+
 def test_readme_walkthrough_keeps_every_run_record(tmp_path, wave_file):
     """simulate -> render -> train -> eval -> track in one work directory."""
     work = tmp_path / "work"

@@ -296,18 +296,11 @@ for name, g in net.grads.items():
     print(name, hashlib.sha256(g.tobytes()).hexdigest())
 """
 
-TIME_DENSE_SPLIT = ("FOUND in CHANGES.md: the TimeDense.backward weight-gradient einsum, "
-                    "a GEMM over K = batch x frames = 400, gives different bits under 1 "
-                    "and 2 BLAS threads when its output is wide (128 x 128 at the paper "
-                    "preset, 412 x 16 for the 10-degree categorical head)")
-TIME_DENSE_XFAIL = pytest.mark.xfail(strict=True, raises=AssertionError,
-                                     reason=TIME_DENSE_SPLIT)
-
-
 @pytest.mark.parametrize("preset, kind, n", [
     pytest.param("desk", "cartesian", 32, id="desk"),
-    pytest.param("paper", "cartesian", 16, id="paper", marks=TIME_DENSE_XFAIL),
-    pytest.param("desk", "categorical", 16, id="desk-categorical", marks=TIME_DENSE_XFAIL),
+    pytest.param("desk", "spherical", 32, id="desk-spherical"),
+    pytest.param("paper", "cartesian", 16, id="paper"),
+    pytest.param("desk", "categorical", 16, id="desk-categorical"),
 ])
 def test_gradients_do_not_depend_on_the_blas_thread_count(preset, kind, n):
     path = [os.path.dirname(os.path.dirname(ambidoa.__file__))]
@@ -361,6 +354,25 @@ class TestTraining:
         _, h1 = train(x, u, Formulation("cartesian"), cfg, config=TINY)
         _, h2 = train(x, u, Formulation("cartesian"), cfg, config=TINY)
         assert h1 == h2
+        for entry in h1:
+            assert {"grad_norm_mean", "grad_norm_max", "clip_fraction"} <= set(entry)
+
+    def test_history_records_gradient_norms_before_clipping(self):
+        # a hot rate drives some batches' gradients over the clipping ceiling
+        x, u = self._toy_dataset()
+        cfg = TrainConfig(learning_rate=0.5, epochs=4, batch_size=4, seed=3,
+                          val_fraction=0.0)
+        _, history = train(x, u, Formulation("cartesian"), cfg, config=TINY)
+        batches = 6
+        for entry in history:
+            assert 0.0 < entry["grad_norm_mean"] <= entry["grad_norm_max"]
+            clipped = entry["clip_fraction"] * batches
+            assert clipped == round(clipped)
+            assert (clipped > 0) == (entry["grad_norm_max"] > estimator.CLIP_NORM)
+            if clipped == batches:
+                assert entry["grad_norm_mean"] > estimator.CLIP_NORM
+        assert any(e["clip_fraction"] > 0 for e in history)
+        assert any(e["clip_fraction"] < 1 for e in history)
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_divergence_aborts_with_diagnostic(self):
@@ -549,6 +561,11 @@ class TestPredict:
         one = np.stack([predict_sample(net, x[i]) for i in picks])
         err = np.degrees(great_circle(got[picks], one))
         assert err.max() < 1e-9
+
+    def test_empty_batch_rejected(self):
+        net = build_network(TINY, Formulation("cartesian"), seed=4)
+        with pytest.raises(ValueError, match="empty batch"):
+            predict(net, tiny_input(0, seed=5))
 
     @pytest.mark.parametrize("form", FORMS, ids=lambda f: f.kind)
     def test_validation_error_is_the_error_of_predict(self, form):

@@ -203,6 +203,11 @@ def test_bad_manifest_line_names_the_file_and_line(tmp_path, line, message):
         load_manifest(path)
 
 
+def test_load_dataset_refuses_no_records(tmp_path):
+    with pytest.raises(ValueError, match=f"no manifest records .* {re.escape(str(tmp_path))}$"):
+        load_dataset([], str(tmp_path))
+
+
 @pytest.mark.parametrize("kwargs, field", [
     (dict(window=1), "window"),
     (dict(window=256.0), "window"),

@@ -247,10 +247,37 @@ class TestMaxPoolFreq:
         dx = layer.backward(np.array([[[[2.0, 7.0]]]]))
         np.testing.assert_array_equal(dx, [[[[0.0, 2.0, 0.0, 0.0, 7.0, 0.0, 0.0, 0.0, 0.0]]]])
 
+    @pytest.mark.parametrize("values", [
+        None,
+        [1.0, 2.0, 3.0],
+        [0.0, -0.0],
+        [0.0, -0.0, -1.0, np.nan, -np.nan, 1.0],
+    ], ids=["random", "ties", "signed-zero-ties", "nan"])
+    @pytest.mark.parametrize("factor", [2, 3, 4, 8])
+    def test_inference_mode_gives_the_training_bits(self, values, factor):
+        rng = np.random.default_rng(20)
+        shape = (3, 2, 5, 8 * factor + 3)
+        x = rng.standard_normal(shape) if values is None else rng.choice(values, shape)
+        layer = nn.MaxPoolFreq(factor)
+        trained = layer.forward(x, train=True)
+        dx_trained = layer.backward(np.arange(trained.size, dtype=float).reshape(trained.shape))
+        inferred = layer.forward(x, train=False)
+        assert inferred.tobytes() == trained.tobytes()
+        dx = layer.backward(np.arange(trained.size, dtype=float).reshape(trained.shape))
+        assert dx.tobytes() == dx_trained.tobytes()
 
-def lstm_direction(x, w, u, bias, dhs):
-    """One LSTM direction, stepped through time on its own: outputs, input
-    gradient and (dw, du, db) for the output gradient ``dhs``."""
+    def test_backward_after_inference_needs_that_input_alive(self):
+        # inference mode holds its input only weakly, so dropping it frees it
+        layer = nn.MaxPoolFreq(2)
+        y = layer.forward(np.random.default_rng(21).standard_normal((1, 1, 2, 4)))
+        with pytest.raises(RuntimeError, match="input alive"):
+            layer.backward(np.ones_like(y))
+
+
+def lstm_direction_per_step(x, w, u, bias, dhs):
+    """One LSTM direction, stepped through time on its own, every product
+    taken per step: outputs, input gradient and (dw, du, db) for the output
+    gradient ``dhs``."""
     b, t, _ = x.shape
     h = u.shape[1]
     hs = np.zeros((b, t, h))
@@ -289,6 +316,53 @@ def lstm_direction(x, w, u, bias, dhs):
     return hs, dx, (dw, du, db)
 
 
+def lstm_direction(x, w, u, bias, dhs):
+    """:func:`lstm_direction_per_step` with the layer's arithmetic: the input
+    projection of all steps is one GEMM before the loop, and the loop keeps
+    only the recurrence. The weight gradients are GEMMs over the stacked
+    (batch x frames) rows of every step, summed in pieces of at most
+    ``nn.K_CHUNK`` rows; the input gradient is one GEMM."""
+    b, t, d = x.shape
+    h = u.shape[1]
+    xw = (x.reshape(b * t, d) @ w.T).reshape(b, t, 4 * h)
+    hs = np.zeros((b, t + 1, h))  # hs[:, s] is the state step s starts from
+    cache = []
+    c_prev = np.zeros((b, h))
+    for step in range(t):
+        z = xw[:, step] + hs[:, step] @ u.T + bias
+        i = nn._sigmoid(z[:, :h])
+        f = nn._sigmoid(z[:, h : 2 * h])
+        g = np.tanh(z[:, 2 * h : 3 * h])
+        o = nn._sigmoid(z[:, 3 * h :])
+        c = f * c_prev + i * g
+        tanh_c = np.tanh(c)
+        hs[:, step + 1] = o * tanh_c
+        cache.append((c_prev, i, f, g, o, tanh_c))
+        c_prev = c
+    dz = np.zeros((b, t, 4 * h))
+    dh_next = np.zeros((b, h))
+    dc_next = np.zeros((b, h))
+    for step in range(t - 1, -1, -1):
+        c_prev, i, f, g, o, tanh_c = cache[step]
+        dh = dhs[:, step] + dh_next
+        do = dh * tanh_c
+        dc = dc_next + dh * o * (1.0 - tanh_c**2)
+        dc_next = dc * f
+        dz[:, step] = np.concatenate([dc * g * i * (1 - i), dc * c_prev * f * (1 - f),
+                                      dc * i * (1 - g**2), do * o * (1 - o)], axis=1)
+        dh_next = dz[:, step] @ u
+    rows_dz, rows_x = dz.reshape(b * t, 4 * h), x.reshape(b * t, d)
+    rows_h = hs[:, :t].reshape(b * t, h)
+    dw, du, db = np.zeros_like(w), np.zeros_like(u), np.zeros_like(bias)
+    for k in range(0, b * t, nn.K_CHUNK):
+        piece = slice(k, k + nn.K_CHUNK)
+        dw += rows_dz[piece].T @ rows_x[piece]
+        du += rows_dz[piece].T @ rows_h[piece]
+    db += rows_dz.sum(axis=0)
+    dx = (rows_dz @ w).reshape(b, t, d)
+    return hs[:, 1:], dx, (dw, du, db)
+
+
 # (batch, frames, d_in, hidden)
 LSTM_SHAPES = [(1, 5, 4, 3), (3, 1, 4, 3), (2, 6, 3, 5), (16, 25, 32, 16)]
 
@@ -313,6 +387,31 @@ class TestBiLSTM:
         for side, grads in (("fwd", grads_f), ("bwd", grads_b)):
             for k, expected in zip("wub", grads):
                 np.testing.assert_array_equal(layer.grads[f"{k}_{side}"], expected)
+
+    @pytest.mark.parametrize("shape", LSTM_SHAPES)
+    def test_stays_near_the_per_step_recurrence(self, shape):
+        """The hoisted and post-loop GEMMs sum in another order than per-step
+        products, so the layer moves from the per-step recurrence by rounding
+        only: within 1e-12 of each array's largest magnitude."""
+        b, t, d_in, hidden = shape
+        rng = np.random.default_rng(19)
+        layer = nn.BiLSTM(d_in, hidden, rng)
+        x = rng.standard_normal((b, t, d_in))
+        dy = rng.standard_normal((b, t, 2 * hidden))
+        y = layer.forward(x, train=True)
+        dx = layer.backward(dy)
+        p = layer.params
+        fwd, dx_f, grads_f = lstm_direction_per_step(x, p["w_fwd"], p["u_fwd"],
+                                                     p["b_fwd"], dy[:, :, :hidden])
+        bwd, dx_b, grads_b = lstm_direction_per_step(x[:, ::-1], p["w_bwd"], p["u_bwd"],
+                                                     p["b_bwd"], dy[:, ::-1, hidden:])
+        pairs = [(y, np.concatenate([fwd, bwd[:, ::-1]], axis=2)),
+                 (dx, dx_f + dx_b[:, ::-1])]
+        for side, grads in (("fwd", grads_f), ("bwd", grads_b)):
+            pairs += [(layer.grads[f"{k}_{side}"], g) for k, g in zip("wub", grads)]
+        for got, expected in pairs:
+            np.testing.assert_allclose(got, expected, rtol=0,
+                                       atol=1e-12 * np.abs(expected).max())
 
     def test_output_shape(self):
         rng = np.random.default_rng(9)
