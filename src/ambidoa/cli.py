@@ -203,22 +203,26 @@ def cmd_gridinfo(args):
     return args.csv
 
 
+def _epoch_line(e, epochs):
+    val = (f", val loss {e['val_loss']:.5f}, val error {e['val_error_deg']:.2f} deg"
+           if "val_loss" in e else "")
+    return (f"epoch {e['epoch'] + 1}/{epochs}: train loss {e['train_loss']:.5f}{val}, grad "
+            f"norm mean {e['grad_norm_mean']:.3f} max {e['grad_norm_max']:.3f}, "
+            f"clip fraction {e['clip_fraction']:.2f}")
+
+
 def cmd_train(args):
     config = PRESETS[args.preset]()
     _, x, y = _load_data(args.manifest, config, f"the {args.preset} preset")
     formulation = _formulation(args.formulation, args.resolution)
     cfg = _train_config(args, learning_rate=args.learning_rate)
-    net, history = train(x, y, formulation, cfg, config=config)
+    net, history = train(x, y, formulation, cfg, config=config,
+                         on_epoch=lambda e: print(_epoch_line(e, cfg.epochs), flush=True))
     save_model(args.out, net)
     with open(args.out + ".history.json", "w", encoding="ascii") as f:
         json.dump(history, f, sort_keys=True)
         f.write("\n")
-    last = history[-1]
-    print(
-        f"trained {args.formulation} ({param_count(net)} parameters): "
-        f"train loss {last['train_loss']:.5f}"
-        + (f", val error {last['val_error_deg']:.2f} deg" if "val_error_deg" in last else "")
-    )
+    print(f"trained {args.formulation} ({param_count(net)} parameters)")
     return args.out
 
 

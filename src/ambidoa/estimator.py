@@ -55,7 +55,7 @@ __all__ = [
 HAVERSINE_CLAMP = 1e-12
 GRAD_CHECK_STEP = 1e-4
 CLIP_NORM = 5.0  # global gradient-norm ceiling of every optimizer step
-PREDICT_ELEMENTS = 1 << 18  # input elements per inference forward pass
+PREDICT_ELEMENTS = 1 << 18  # elements of a half's largest array per inference pass
 MODEL_MAGIC = b"ADOM"
 MODEL_VERSION = 1
 
@@ -199,6 +199,11 @@ class Network:
     ``"{index}.{LayerType}.{name}"`` to every layer's arrays, in layer order:
     the one registry that the optimizer, the gradient check and checkpoints
     read.
+
+    ``forward`` is ``head(trunk(x))``: the conv stages and ``FrameFlatten``,
+    then the rest. Inference runs each half in passes of as many samples as
+    fit its largest array in ``PREDICT_ELEMENTS``; only the head's bits (its
+    BiLSTM GEMMs) depend on them. Training runs one pass for batch statistics.
     """
 
     def __init__(self, config, formulation, layers):
@@ -218,9 +223,31 @@ class Network:
         if x.ndim != 4 or x.shape[1:] != expected:
             raise ValueError(f"input shape {x.shape} does not match "
                              f"(n, {', '.join(map(str, expected))})")
-        for layer in self.layers:
-            x = layer.forward(x, train=train)
-        return x
+        return self.head(self.trunk(x, train), train)
+
+    def trunk(self, x, train=False):
+        """Per-frame features (n, t, flat_width) of inputs (n, 6, t, bins), any t.
+        No trunk array exceeds max(6, channels) x t x bins elements a sample."""
+        width = max(6, *self.config.conv_channels) * self.config.freq_bins * x.shape[2]
+        return self._passes(x, train, 0, max(1, PREDICT_ELEMENTS // width))
+
+    def head(self, y, train=False):
+        """Per-frame outputs (n, t, d) of trunk features (n, t, flat_width)."""
+        return self._passes(y, train, 1, self.head_pass(y.shape[1]))
+
+    def head_pass(self, frames):
+        """Windows per inference pass of the head: as many as fit their BiLSTM
+        input projection (2, b, frames, 4 hidden) in ``PREDICT_ELEMENTS``."""
+        return max(1, PREDICT_ELEMENTS // (8 * self.config.hidden * frames))
+
+    def _passes(self, x, train, half, per):
+        split = 1 + [type(layer) for layer in self.layers].index(nn.FrameFlatten)
+        if train or len(x) <= per:
+            for layer in (self.layers[:split], self.layers[split:])[half]:
+                x = layer.forward(x, train=train)
+            return x
+        return np.concatenate([self._passes(x[s : s + per], False, half, per)
+                               for s in range(0, len(x), per)])
 
 
 def build_network(config: NetworkConfig, formulation: Formulation, seed=0):
@@ -451,15 +478,15 @@ def _adam_step(net: Network, state: _AdamState, lr):
 
 
 def train(features, unit_labels, formulation: Formulation, cfg: TrainConfig,
-          config: NetworkConfig = None):
+          config: NetworkConfig = None, on_epoch=None):
     """Mini-batch adaptive-moment training; deterministic for a fixed seed.
 
     ``features`` is an (n, 6, frames, bins) array, ``unit_labels`` (n, 3).
     Returns the trained network and a per-epoch history with train loss,
     validation loss, mean validation angular error in degrees, and the
     mean and largest global gradient norm before clipping with the fraction
-    of batches whose gradients were clipped.
-    """
+    of batches whose gradients were clipped. ``on_epoch`` is called with
+    each history entry as its epoch ends."""
     features = np.asarray(features, dtype=np.float64)
     unit_labels = np.asarray(unit_labels, dtype=np.float64)
     n = features.shape[0]
@@ -505,12 +532,14 @@ def train(features, unit_labels, formulation: Formulation, cfg: TrainConfig,
                  "grad_norm_mean": sum(norms) / batches, "grad_norm_max": max(norms),
                  "clip_fraction": sum(g > CLIP_NORM for g in norms) / batches}
         if val_idx.size:
-            val_out = _outputs(net, features[val_idx])
+            val_out = net.forward(features[val_idx])
             entry["val_loss"] = float(loss_fn(val_out, labels[val_idx]))
             preds = decode_outputs(val_out, formulation)
             errs = np.degrees(great_circle(preds, unit_labels[val_idx]))
             entry["val_error_deg"] = float(errs.mean())
         history.append(entry)
+        if on_epoch:
+            on_epoch(entry)
     return net, history
 
 
@@ -543,82 +572,11 @@ def decode_outputs(outputs, formulation: Formulation):
     return formulation.grid.directions[np.argmax(scores, axis=1)]
 
 
-def _outputs(net: Network, x):
-    """Inference-mode per-frame outputs of a batch, run in chunks of as many
-    samples as fit ``PREDICT_ELEMENTS`` input elements."""
-    chunk = max(1, PREDICT_ELEMENTS // (6 * net.config.frames * net.config.freq_bins))
-    return np.concatenate([net.forward(x[s : s + chunk]) for s in range(0, len(x), chunk)])
-
-
-def _window_outputs(net: Network, feats, hop_frames):
-    """Inference-mode per-frame outputs (n, frames, d) of the windows
-    ``feats[:, s : s + frames]``, s = 0, ``hop_frames``, ..., of a recording's
-    features (6, total, bins), without running every window through the trunk
-    (the layers before ``FrameFlatten``).
-
-    In inference mode only the trunk's L 3x3 convolutions mix frames, one
-    either side each, so frame p of a window sees the window's zero padding
-    only when p < L or p >= frames - L: an interior frame has the same trunk
-    output in every window that holds it. Every m-th window, m = max(1,
-    (frames - 2L) // hop_frames), and the last run whole, and their interiors
-    cover all others'. The others take their first and last L frames from
-    2L-frame pieces ``feats[:, u : u + 2L]``, one per u, each serving the left
-    edge of window u and the right edge of window u - (frames - 2L). Trunk
-    calls take at most ``PREDICT_ELEMENTS`` input elements; the head runs on
-    the chunks of :func:`_outputs`, as BiLSTM GEMMs of other row counts can
-    change bits. OpenBLAS computes a GEMM's last columns with kernels picked
-    by its width, so an edge frame from a piece can differ from the whole
-    window's in the last bits: predictions equal :func:`predict`'s at the
-    desk preset and lie within a few ulp of them at the paper preset.
-    """
-    cfg = net.config
-    frames, edge = cfg.frames, len(cfg.conv_channels)
-    inner, split = frames - 2 * edge, 4 * edge  # four layers per conv stage
-    n = (feats.shape[1] - frames) // hop_frames + 1
-    m = max(1, inner // hop_frames)
-    trunk = {}  # (start, length) -> trunk output (channels, length, bins)
-
-    def run_trunk(starts, length):
-        todo = [s for s in dict.fromkeys(starts) if (s, length) not in trunk]
-        per = max(1, PREDICT_ELEMENTS // (6 * length * cfg.freq_bins))
-        for i in range(0, len(todo), per):
-            x = np.stack([feats[:, s : s + length] for s in todo[i : i + per]])
-            for layer in net.layers[:split]:
-                x = layer.forward(x)
-            trunk.update(zip([(s, length) for s in todo[i : i + per]], x))
-
-    def window(k):
-        s, j = k * hop_frames, k // m * m
-        if k == j or k == n - 1:
-            return trunk[s, frames]
-        d, e = s - j * hop_frames, min(j + m, n - 1) * hop_frames - s
-        lo, hi = trunk[s - d, frames], trunk[s + e, frames]  # the whole windows either side
-        return np.concatenate([trunk[s, 2 * edge][:, :edge],
-                               lo[:, edge + d : frames - edge],
-                               hi[:, frames - edge - d - e : frames - edge - e],
-                               trunk[s + inner, 2 * edge][:, edge:]], axis=1)
-
-    chunk, outputs = max(1, PREDICT_ELEMENTS // (6 * frames * cfg.freq_bins)), []
-    for a in range(0, n, chunk):
-        ks = range(a, min(a + chunk, n))
-        run_trunk([min(j, n - 1) * hop_frames for j in range(a // m * m, ks[-1] + m, m)],
-                  frames)
-        run_trunk([k * hop_frames + d for k in ks if k % m and k != n - 1
-                   for d in (0, inner)], 2 * edge)
-        x = np.stack([window(k) for k in ks])
-        for layer in net.layers[split:]:
-            x = layer.forward(x)
-        outputs.append(x)
-        # no later window reads a start before its chunk's first whole window
-        trunk = {sl: y for sl, y in trunk.items() if sl[0] >= ks.stop // m * m * hop_frames}
-    return np.concatenate(outputs)
-
-
 def predict(net: Network, x):
     """Unit directions (n, 3) for a batch of feature tensors (n, 6, frames, bins)."""
     if len(x) == 0:
         raise ValueError("predict needs at least one feature tensor, got an empty batch")
-    return decode_outputs(_outputs(net, x), net.formulation)
+    return decode_outputs(net.forward(x), net.formulation)
 
 
 def predict_sample(net: Network, feature_tensor):
@@ -629,7 +587,7 @@ def predict_sample(net: Network, feature_tensor):
 def predict_window(net: Network, window):
     """Direction estimate from a spectrogram of exactly ``config.frames``
     frames: the single-window case. :func:`ambidoa.evaluate.track` featurises
-    a whole recording once and runs its windows through :func:`_window_outputs`."""
+    a whole recording once and runs its windows through the network's halves."""
     return predict_sample(net, intensity_features(window).values)
 
 

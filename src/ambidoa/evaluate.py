@@ -20,8 +20,8 @@ from functools import partial
 import numpy as np
 
 from .acoustics import _check_count, image_source_paths, trace_paths
-from .estimator import (NetworkConfig, TrainConfig, _is_finite, _is_int, _window_outputs,
-                        decode_outputs, predict, train)
+from .estimator import (NetworkConfig, TrainConfig, _is_finite, _is_int, decode_outputs,
+                        predict, train)
 from .features import (
     babble_noise,
     convolve_foa,
@@ -364,10 +364,67 @@ def track(window_predictor, signal, truth, hop_frames, frames=25, window=1024):
     )
 
 
+def _window_outputs(net, feats, hop_frames):
+    """Inference-mode per-frame outputs (n, frames, d) of the windows
+    ``feats[:, s : s + frames]``, s = 0, ``hop_frames``, ..., of a recording's
+    features (6, total, bins), without running every window through the trunk.
+
+    In inference mode only the trunk's L 3x3 convolutions mix frames, one
+    either side each, so frame p of a window sees the window's zero padding
+    only when p < L or p >= frames - L: an interior frame has the same trunk
+    output in every window that holds it. Every m-th window, m = max(1,
+    (frames - 2L) // hop_frames), and the last run whole, and their interiors
+    cover all others'. The others take their first and last L frames from
+    2L-frame pieces ``feats[:, u : u + 2L]``, one per u, each serving the left
+    edge of window u and the right edge of window u - (frames - 2L). The
+    head runs on the passes :func:`predict` makes, as BiLSTM GEMMs of other
+    row counts can change bits, and only the trunk outputs that a later pass
+    reads outlive a pass. OpenBLAS computes a GEMM's last columns with kernels
+    picked by its width, so an edge frame from a piece can differ from the
+    whole window's in the last bits: predictions equal :func:`predict`'s at
+    the desk preset and lie within a few ulp of them at the paper preset.
+    """
+    cfg = net.config
+    frames, edge = cfg.frames, len(cfg.conv_channels)
+    inner = frames - 2 * edge
+    n = (feats.shape[1] - frames) // hop_frames + 1
+    m = max(1, inner // hop_frames)
+    trunk = {}  # (start, length) -> trunk output (length, flat_width)
+
+    def run_trunk(starts, length):
+        todo = [s for s in dict.fromkeys(starts) if (s, length) not in trunk]
+        if todo:
+            trunk.update(zip([(s, length) for s in todo],
+                             net.trunk(np.stack([feats[:, s : s + length] for s in todo]))))
+
+    def window(k):
+        s, j = k * hop_frames, k // m * m
+        if k == j or k == n - 1:
+            return trunk[s, frames]
+        d, e = s - j * hop_frames, min(j + m, n - 1) * hop_frames - s
+        lo, hi = trunk[s - d, frames], trunk[s + e, frames]  # the whole windows either side
+        return np.concatenate([trunk[s, 2 * edge][:edge],
+                               lo[edge + d : frames - edge],
+                               hi[frames - edge - d - e : frames - edge - e],
+                               trunk[s + inner, 2 * edge][edge:]])
+
+    per, outputs = net.head_pass(frames), []
+    for a in range(0, n, per):
+        ks = range(a, min(a + per, n))
+        run_trunk([min(j, n - 1) * hop_frames for j in range(a // m * m, ks[-1] + m, m)],
+                  frames)
+        run_trunk([k * hop_frames + d for k in ks if k % m and k != n - 1
+                   for d in (0, inner)], 2 * edge)
+        outputs.append(net.head(np.stack([window(k) for k in ks])))
+        # no later window reads a start before the next pass's first whole window
+        trunk = {sl: y for sl, y in trunk.items() if sl[0] >= ks.stop // m * m * hop_frames}
+    return np.concatenate(outputs)
+
+
 def net_window_predictor(net):
     """Featurise the recording once and run its windows through the network,
     only every few of them whole through the conv trunk
-    (:func:`ambidoa.estimator._window_outputs`). Intensity features are
+    (:func:`_window_outputs`). Intensity features are
     pointwise per time-frequency bin, so each window of the whole-recording
     features holds the bits of that window featurised alone."""
 

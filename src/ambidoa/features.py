@@ -18,7 +18,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .foa import FoaSignal, foa_gains
 
@@ -92,6 +91,24 @@ class FeatureTensor:
                              "+/-sqrt(3)/2")
 
 
+def _next_fast_len(n, real):
+    """The least m >= n whose prime factors are all 2, 3 and 5 (``real``) or
+    all at most 11: the transform length ``scipy.fft.next_fast_len(n, real)``
+    gives, found as the least q * 2^k >= n over the odd smooth q."""
+    best = 1 << (n - 1).bit_length()
+    odd = [1]
+    for p in (3, 5) if real else (3, 5, 7, 11):
+        grown = []
+        for q in odd:
+            while q < best:
+                grown.append(q)
+                q *= p
+        odd = grown
+    for q in odd:
+        best = min(best, q << (-(-n // q) - 1).bit_length())
+    return best
+
+
 def convolve_foa(dry, ir: FoaSignal):
     """Channel-wise full convolution of a dry mono signal, taken to be at the
     IR's sample rate, with a 4-channel IR.
@@ -108,9 +125,9 @@ def convolve_foa(dry, ir: FoaSignal):
     if dry.size == 1 or ir.channels.shape[1] == 1:
         return FoaSignal(channels=ir.channels * dry, sample_rate=ir.sample_rate)
     n = ir.channels.shape[1] + dry.size - 1
-    fast = sp_fft.next_fast_len(n, True)
-    spectrum = sp_fft.rfft(ir.channels, fast, axis=1) * sp_fft.rfft(dry, fast)
-    return FoaSignal(channels=sp_fft.irfft(spectrum, fast, axis=1)[:, :n],
+    fast = _next_fast_len(n, True)
+    spectrum = np.fft.rfft(ir.channels, fast, axis=1) * np.fft.rfft(dry, fast)
+    return FoaSignal(channels=np.fft.irfft(spectrum, fast, axis=1)[:, :n],
                      sample_rate=ir.sample_rate)
 
 
@@ -197,7 +214,7 @@ def babble_noise(length, seed, sample_rate=16000, n_talkers=6):
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     rng = np.random.default_rng(seed)
     n_streams = n_talkers * len(_ICOSAHEDRON)
-    white = rng.standard_normal((n_streams, sp_fft.next_fast_len(length)))
+    white = rng.standard_normal((n_streams, _next_fast_len(length, False)))
     gains = np.tile(foa_gains(_ICOSAHEDRON).T, n_talkers)  # (4, streams), talker-major
     channels = _shaped_noise(gains @ white, length, sample_rate)
     return FoaSignal(channels=channels / np.sqrt(n_streams), sample_rate=sample_rate)
@@ -210,7 +227,7 @@ def synthetic_speech(length, seed, sample_rate=16000):
     signal speech-like on/off structure without redistributing any corpus.
     """
     rng = np.random.default_rng(seed)
-    white = rng.standard_normal(sp_fft.next_fast_len(length))
+    white = rng.standard_normal(_next_fast_len(length, False))
     carrier = _shaped_noise(white, length, sample_rate)
     t = np.arange(length) / sample_rate
     envelope = np.zeros(length)

@@ -227,10 +227,13 @@ class MaxPoolFreq(Layer):
             for j in range(1, k):
                 np.maximum(out, x[..., j:n:k], out=out)
             # np.maximum may return either of two equal zeros (+0.0, -0.0) or
-            # NaNs; the argmax below keeps the first, so only it decides those
-            if out.all() and not np.isnan(out).any():
-                self._x, self._argmax = weakref.ref(x), None
-                return out
+            # NaNs; training takes the first, so those windows take it too
+            if not out.all() or np.isnan(out).any():
+                fix = np.nonzero(~(np.abs(out) > 0))
+                blocks = self._blocks(x)[fix]
+                out[fix] = blocks[np.arange(len(blocks)), blocks.argmax(axis=1)]
+            self._x, self._argmax = weakref.ref(x), None
+            return out
         blocks = self._blocks(x)
         self._x, self._argmax = None, blocks.argmax(axis=4)[..., None]
         return np.take_along_axis(blocks, self._argmax, axis=4)[..., 0]

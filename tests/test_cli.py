@@ -178,6 +178,24 @@ class TestPipeline:
         assert lines[0] == "scene_id,error_deg"
         assert len(lines) == 13
 
+    def test_train_prints_a_line_per_epoch(self, pipeline_dir, capsys, tmp_path):
+        model = tmp_path / "m.adom"
+        assert run([
+            "train", "--manifest", str(pipeline_dir / "feats" / "manifest.jsonl"),
+            "--formulation", "cartesian", "--preset", "desk",
+            "--epochs", "3", "--seed", "34", "--out", str(model),
+        ]) == 0
+        history = json.loads((tmp_path / "m.adom.history.json").read_text())
+        lines = capsys.readouterr().out.splitlines()
+        assert len(history) == 3 and len(lines) == 4
+        for line, e in zip(lines, history):
+            assert line == (
+                f"epoch {e['epoch'] + 1}/3: train loss {e['train_loss']:.5f}, "
+                f"val loss {e['val_loss']:.5f}, val error {e['val_error_deg']:.2f} deg, "
+                f"grad norm mean {e['grad_norm_mean']:.3f} max {e['grad_norm_max']:.3f}, "
+                f"clip fraction {e['clip_fraction']:.2f}")
+        assert lines[3].startswith("trained cartesian (")
+
     def test_checkpoints_reproducible(self, pipeline_dir, tmp_path):
         feats = pipeline_dir / "feats"
         m1, m2 = tmp_path / "m1.adom", tmp_path / "m2.adom"

@@ -87,6 +87,22 @@ class TestArchitecture:
             out = net.forward(x)
             assert out.shape == (1, TINY.frames, d)
 
+    @pytest.mark.parametrize("preset", ["tiny", "desk"])
+    @pytest.mark.parametrize("train_mode", [False, True], ids=["inference", "training"])
+    def test_forward_is_the_head_of_the_trunk(self, preset, train_mode):
+        config = getattr(NetworkConfig, preset)()
+        x = np.random.default_rng(9).uniform(
+            -0.8, 0.8, (6, 6, config.frames, config.freq_bins))
+        # training mode refreshes the running statistics, so each side builds its own
+        whole, halves = (build_network(config, Formulation("cartesian"), seed=2)
+                         for _ in range(2))
+        trunk = halves.trunk(x, train_mode)
+        assert trunk.shape == (6, config.frames, config.flat_width)
+        assert (whole.forward(x, train_mode).tobytes()
+                == halves.head(trunk, train_mode).tobytes())
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(whole.buffers.values(), halves.buffers.values()))
+
     def test_zero_input_zeroed_head_gives_half_scores(self):
         # the head emits logits; a zero logit is a sigmoid score of one half
         net = build_network(TINY, Formulation("categorical", GRID30), seed=0)
@@ -541,23 +557,32 @@ class TestPredict:
     @pytest.mark.parametrize("form", FORMS, ids=lambda f: f.kind)
     def test_chunked_batch_agrees_with_single_samples(self, form, monkeypatch):
         net = build_network(TINY, form, seed=4)
-        chunk = estimator.PREDICT_ELEMENTS // (6 * TINY.frames * TINY.freq_bins)
-        x = tiny_input(2 * chunk + 1, seed=5)
-        sizes = []
-        forward = Network.forward
+        head = net.head_pass(TINY.frames)
+        assert head == estimator.PREDICT_ELEMENTS // (2 * TINY.frames * 4 * TINY.hidden)
+        x = tiny_input(2 * head + 1, seed=5)
+        trunk_sizes, head_sizes = [], []
+        split = [type(layer) for layer in net.layers].index(nn.FrameFlatten) + 1
 
-        def counted(self, xb, train=False):
-            sizes.append(len(xb))
-            return forward(self, xb, train)
+        def counted(calls, measure, forward):
+            def spy(xb, train=False):
+                calls.append(measure(xb))
+                return forward(xb, train)
+            return spy
 
-        monkeypatch.setattr(Network, "forward", counted)
+        first, lstm = net.layers[0], net.layers[split]
+        monkeypatch.setattr(first, "forward", counted(trunk_sizes, np.size, first.forward))
+        monkeypatch.setattr(lstm, "forward", counted(head_sizes, len, lstm.forward))
         got = predict(net, x)
-        assert sizes == [chunk, chunk, 1]
         monkeypatch.undo()
-        assert got.shape == (2 * chunk + 1, 3)
-        # every sample at both ends of each chunk, and a spread in between
-        picks = sorted({0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk,
-                        *range(0, 2 * chunk + 1, 97)})
+        assert len(trunk_sizes) > 1 and max(trunk_sizes) <= estimator.PREDICT_ELEMENTS
+        assert sum(trunk_sizes) == x.size
+        assert head_sizes == [head, head, 1]
+        assert got.shape == (2 * head + 1, 3)
+        # every sample at both ends of each trunk and head pass, and a spread
+        ends = [*np.cumsum([size // x[0].size for size in trunk_sizes]),
+                *np.cumsum(head_sizes)]
+        picks = sorted({0, *range(0, len(x), 97),
+                        *(i for end in ends for i in (end - 1, end) if i < len(x))})
         one = np.stack([predict_sample(net, x[i]) for i in picks])
         err = np.degrees(great_circle(got[picks], one))
         assert err.max() < 1e-9

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -499,13 +500,14 @@ class TestTrack:
     @pytest.mark.parametrize("hop_frames", [1, 5])
     def test_model_track_featurises_once_and_forwards_in_chunks(self, hop_frames,
                                                                 monkeypatch):
+        # 191 frames: 167 windows at hop 1, two full head passes and a part
         rng = np.random.default_rng(7)
         u = to_cartesian(0.3, 0.2)
-        sig = encode_plane_wave(rng.standard_normal(8000), u, 16000)
+        sig = encode_plane_wave(rng.standard_normal(24576), u, 16000)
         net = build_network(NetworkConfig.desk(), Formulation("cartesian"), seed=3)
         featurised, trunk_sizes, head_batches = [], [], []
         features_of = evaluate.intensity_features
-        split = [type(layer) for layer in net.layers].index(nn.FrameFlatten)
+        split = [type(layer) for layer in net.layers].index(nn.FrameFlatten) + 1
 
         def counted_features(spec):
             featurised.append(spec.n_frames)
@@ -524,16 +526,47 @@ class TestTrack:
         result = track(net_window_predictor(net), sig, u, hop_frames=hop_frames,
                        frames=25, window=256)
         monkeypatch.undo()
-        total = (8000 - 256) // 128 + 1
+        total = (24576 - 256) // 128 + 1
         n = len(range(0, total - 24, hop_frames))
-        chunk = estimator.PREDICT_ELEMENTS // (6 * 25 * 129)
+        per = net.head_pass(25)
+        assert per == estimator.PREDICT_ELEMENTS // (2 * 25 * 4 * 16) == 81
         assert len(result.predictions) == n
         assert featurised == [total]
         assert trunk_sizes and max(trunk_sizes) <= estimator.PREDICT_ELEMENTS
-        # the head runs on the chunks predict uses, so BiLSTM GEMMs keep their rows
-        assert len(head_batches) == -(-n // chunk)
-        assert head_batches[:-1] == [chunk] * (len(head_batches) - 1)
-        assert sum(head_batches) == n
+        # the head runs on the passes predict makes, so BiLSTM GEMMs keep their rows
+        assert head_batches == [per] * (n // per) + [n % per] * (n % per > 0)
+
+    def test_model_track_keeps_trunk_outputs_of_a_few_passes_alive(self, monkeypatch):
+        # the live trunk outputs at each head pass do not grow with the recording
+        net = _net_with_running_stats(NetworkConfig.desk(), seed=5)
+        trunk, head = net.trunk, net.head
+
+        def live_at_each_pass(seconds):
+            outputs, live = [], []
+
+            def kept_trunk(x, train=False):
+                y = trunk(x, train)
+                outputs.append(weakref.ref(y))
+                return y
+
+            def counted_head(y, train=False):
+                live.append(sum(r().size for r in outputs if r() is not None))
+                return head(y, train)
+
+            monkeypatch.setattr(net, "trunk", kept_trunk)
+            monkeypatch.setattr(net, "head", counted_head)
+            sig = encode_plane_wave(np.random.default_rng(seconds).standard_normal(
+                16000 * seconds), to_cartesian(0.7, 0.2), 16000)
+            track(net_window_predictor(net), sig, (1.0, 0.0, 0.0), hop_frames=1,
+                  frames=25, window=256)
+            monkeypatch.undo()
+            return live, len(outputs)
+
+        short, short_calls = live_at_each_pass(2)
+        long, long_calls = live_at_each_pass(8)
+        assert len(short) == 3 and len(long) == 13  # 225 and 975 windows, 81 per pass
+        assert long_calls > 3 * short_calls
+        assert max(long) <= max(short)
 
     def test_music_track_scores_each_window_alone(self):
         rng = np.random.default_rng(8)

@@ -26,7 +26,7 @@ from ambidoa.features import (
     synthetic_speech,
     write_features,
 )
-from ambidoa.features import _ICOSAHEDRON, _speech_envelope_gain
+from ambidoa.features import _ICOSAHEDRON, _next_fast_len, _speech_envelope_gain
 from ambidoa.foa import FoaSignal, encode_plane_wave, foa_gains
 from ambidoa.geometry import great_circle, to_cartesian
 
@@ -82,6 +82,15 @@ class TestConvolve:
         ref = fftconvolve(ir.channels, dry[None, :], mode="full", axes=1)
         assert out.sample_rate == FS
         np.testing.assert_array_equal(out.channels, ref)
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_next_fast_len_is_scipys(self, real):
+        # 5-smooth for real transforms, 11-smooth otherwise: the noise draws
+        # are sized by the complex rule, so a 5-smooth one would change them
+        assert _next_fast_len(3328, real) == (3375 if real else 3360)
+        ns = range(1, 70000)
+        assert [_next_fast_len(n, real) for n in ns] == \
+            [sp_fft.next_fast_len(n, real) for n in ns]
 
     def test_matches_direct_convolution(self):
         rng = np.random.default_rng(42)

@@ -266,6 +266,53 @@ class TestMaxPoolFreq:
         dx = layer.backward(np.arange(trained.size, dtype=float).reshape(trained.shape))
         assert dx.tobytes() == dx_trained.tobytes()
 
+    def test_fresh_network_pools_zero_and_nan_windows_as_training_does(self):
+        # a fresh desk network's batch norm keeps ReLU zeros at zero, so whole
+        # windows pool to +0.0; -0.0 ties and NaNs are written in besides
+        from ambidoa.estimator import Formulation, NetworkConfig, build_network
+
+        net = build_network(NetworkConfig.desk(), Formulation("cartesian"), seed=3)
+        x = np.random.default_rng(22).uniform(-0.8, 0.8, (4, 6, 25, 129))
+        pools = 0
+        for layer in net.layers:
+            if isinstance(layer, nn.FrameFlatten):
+                break
+            if isinstance(layer, nn.MaxPoolFreq):
+                k = layer.factor
+                x[0, 0, :3, :k] = [-0.0, 0.0, 0.0, -0.0][:k]
+                x[1, 1, 2, 3 * k : 4 * k] = np.nan
+                x[2, 0, 4, -k:] = [-1.0, np.nan, -np.nan, 2.0][:k]
+                trained = layer.forward(x, train=True)
+                dy = np.arange(trained.size, dtype=float).reshape(trained.shape)
+                dx_trained = layer.backward(dy)
+                inferred = layer.forward(x)
+                assert (inferred == 0).any() and np.isnan(inferred).any()
+                assert inferred.tobytes() == trained.tobytes()
+                # backward after it still routes to each window's first maximum
+                assert layer.backward(dy).tobytes() == dx_trained.tobytes()
+                pools += 1
+            x = layer.forward(x)
+        assert pools == 3
+
+    def test_inference_mode_takes_no_whole_tensor_argmax(self, monkeypatch):
+        from ambidoa.estimator import Formulation, NetworkConfig, build_network, predict
+
+        shapes = []
+
+        class Spy(np.ndarray):
+            def argmax(self, *args, **kwargs):
+                shapes.append(self.shape)
+                return np.asarray(self).argmax(*args, **kwargs)
+
+        blocks = nn.MaxPoolFreq._blocks
+        monkeypatch.setattr(nn.MaxPoolFreq, "_blocks",
+                            lambda layer, x: blocks(layer, x).view(Spy))
+        net = build_network(NetworkConfig.desk(), Formulation("cartesian"), seed=3)
+        x = np.random.default_rng(23).uniform(-0.8, 0.8, (20, 6, 25, 129))
+        predict(net, x)
+        # a fresh network pools zero windows, and only those take an argmax
+        assert shapes and all(len(shape) == 2 for shape in shapes)
+
     def test_backward_after_inference_needs_that_input_alive(self):
         # inference mode holds its input only weakly, so dropping it frees it
         layer = nn.MaxPoolFreq(2)
