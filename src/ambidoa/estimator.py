@@ -203,7 +203,9 @@ class Network:
     ``forward`` is ``head(trunk(x))``: the conv stages and ``FrameFlatten``,
     then the rest. Inference runs each half in passes of as many samples as
     fit its largest array in ``PREDICT_ELEMENTS``; only the head's bits (its
-    BiLSTM GEMMs) depend on them. Training runs one pass for batch statistics.
+    BiLSTM GEMMs) depend on them. Inference pools each conv stage before its
+    ReLU and batch norm (:func:`_pool_first`), with the layer-order bits.
+    Training runs one pass in layer order, for batch statistics.
     """
 
     def __init__(self, config, formulation, layers):
@@ -241,13 +243,50 @@ class Network:
         return max(1, PREDICT_ELEMENTS // (8 * self.config.hidden * frames))
 
     def _passes(self, x, train, half, per):
+        if not train and len(x) > per:
+            return np.concatenate([self._passes(x[s : s + per], False, half, per)
+                                   for s in range(0, len(x), per)])
         split = 1 + [type(layer) for layer in self.layers].index(nn.FrameFlatten)
-        if train or len(x) <= per:
-            for layer in (self.layers[:split], self.layers[split:])[half]:
-                x = layer.forward(x, train=train)
-            return x
-        return np.concatenate([self._passes(x[s : s + per], False, half, per)
-                               for s in range(0, len(x), per)])
+        layers = (self.layers[:split], self.layers[split:])[half]
+        if not (train or half):  # each conv stage, then FrameFlatten
+            for k in range(0, split - 1, 4):
+                x = _pool_first(*layers[k : k + 4], x)
+            layers = layers[-1:]
+        for layer in layers:
+            x = layer.forward(x, train=train)
+        return x
+
+
+def _pool_first(conv, relu, bn, pool, x):
+    """One conv stage in inference mode, pooled before its ReLU and batch norm:
+    the bits of conv, ReLU, batch norm, max-pool, with ReLU and batch norm on
+    1/k of the elements.
+
+    With finite running statistics and affine parameters, gamma > 0 and
+    inv = 1/sqrt(var + eps) > 0, every step of ReLU (x * (x > 0)) and of the
+    inference batch norm (x - mean, * inv, * gamma, + beta) is a monotone
+    non-decreasing map of the floats other than -inf, so the maximum of the
+    mapped window is the map of its maximum as a value. Equal values carry
+    equal bits except zeros (+0.0, -0.0) and NaNs, so the windows that come
+    out zero or NaN take the layer-order value of just their own elements.
+    A stage that fails the condition, or whose conv output holds a -inf
+    (whose ReLU is NaN), runs in layer order.
+    """
+    z = conv.forward(x)
+    gamma, beta = bn.params["gamma"], bn.params["beta"]
+    mean, var = bn.buffers["run_mean"], bn.buffers["run_var"]
+    inv = 1.0 / np.sqrt(var + nn.BN_EPS)
+    if not (np.isfinite([mean, inv, gamma, beta]).all() and (gamma > 0).all()
+            and (inv > 0).all() and np.fmin.reduce(z, axis=None) > -np.inf):
+        return pool.forward(bn.forward(relu.forward(z)))
+    y = bn.forward(relu.forward(pool.forward(z)))
+    if not y.all() or np.isnan(y).any():
+        fix = np.nonzero(~(np.abs(y) > 0))
+        c = fix[1][:, None]
+        v = relu.forward(pool._blocks(z)[fix])  # (windows, k)
+        v = (v - mean[c]) * inv[c] * gamma[c] + beta[c]  # the batch norm's steps, in order
+        y[fix] = v[np.arange(len(v)), v.argmax(axis=1)]  # the first maximum, as pooling takes
+    return y
 
 
 def build_network(config: NetworkConfig, formulation: Formulation, seed=0):

@@ -440,12 +440,12 @@ def net_window_predictor(net):
 
 
 def music_window_predictor(grid):
-    from .music import music_spectrum, spatial_covariance
+    """The MUSIC peak of each window (:func:`ambidoa.music.window_spectra`)."""
+    from .music import window_spectra
 
     def predictor(spec, frames, hop_frames):
-        covs = (spatial_covariance(spec, slice(s, s + frames))
-                for s in range(0, spec.n_frames - frames + 1, hop_frames))
-        return grid.directions[[np.argmax(music_spectrum(c, grid)) for c in covs]]
+        return grid.directions[[np.argmax(scores) for scores
+                                in window_spectra(spec, grid, frames, hop_frames)]]
 
     return predictor
 

@@ -22,6 +22,7 @@ __all__ = [
     "CovarianceSet",
     "spatial_covariance",
     "music_spectrum",
+    "window_spectra",
     "music_estimate",
 ]
 
@@ -54,12 +55,16 @@ def band_to_bins(spec, band_hz=DEFAULT_BAND_HZ):
 
 
 def spatial_covariance(spec, frames=slice(None)):
-    """R_f = (1/T) sum_t x(t, f) x(t, f)^H over ``frames``, per ``DEFAULT_BAND_HZ`` bin."""
-    bin_range = band_to_bins(spec)
-    x = spec.bins[:, frames, bin_range]  # 4 x T x B
+    """R_f = (1/T) sum_t x(t, f) x(t, f)^H over ``frames``, per ``DEFAULT_BAND_HZ`` bin.
+
+    The band's bins are consecutive, so x is a view of the spectrogram, and
+    R is the batched matmul that ``einsum("ctb,dtb->bcd", x, conj(x),
+    optimize=True)`` dispatches to, bit for bit, with no path to plan."""
+    sel = band_to_bins(spec)
+    x = spec.bins[:, frames, sel[0] : sel[-1] + 1]  # 4 x T x B
     if x.shape[1] < 2:
         raise ValueError("need at least 2 frames to average a covariance")
-    mats = np.einsum("ctb,dtb->bcd", x, np.conj(x), optimize=True) / x.shape[1]
+    mats = np.matmul(x.transpose(2, 0, 1), np.conj(x).transpose(2, 1, 0)) / x.shape[1]
     return CovarianceSet(matrices=mats)
 
 
@@ -73,14 +78,38 @@ def music_spectrum(cov: CovarianceSet, grid: SphereGrid):
     ``SCORE_EPS`` = 1e-12. Per-bin scores are averaged over the band after
     normalization to a unit maximum, so loud bins cannot dominate.
     """
+    return _scores(cov, *_steering(grid))
+
+
+def _steering(grid):
+    """The steering table a(d) (4, classes) as complex128, the type the
+    product with the complex eigenvectors casts it to, and ||a||^2 per class."""
     steering = foa_gains(grid.directions)  # (n_classes, 4) real
+    return steering.T.astype(complex), np.einsum("ij,ij->i", steering, steering)
+
+
+def _scores(cov, steering, norms):
     vals, vecs = np.linalg.eigh(cov.matrices)  # ascending, so e_1 = vecs[:, :, 3]
     if not np.all(np.isfinite(vals)):
         raise np.linalg.LinAlgError("eigendecomposition produced non-finite values")
-    norms = np.einsum("ij,ij->i", steering, steering)  # ||a||^2 per class
-    proj = np.maximum(norms - np.abs(np.conj(vecs[:, :, 3]) @ steering.T) ** 2, 0.0)
-    bin_scores = 1.0 / (proj + SCORE_EPS)
-    return (bin_scores / bin_scores.max(axis=1, keepdims=True)).sum(axis=0) / len(bin_scores)
+    # per-bin scores 1 / (max(||a||^2 - |e_1^H a|^2, 0) + eps), in one buffer
+    s = np.abs(np.conj(vecs[:, :, 3]) @ steering)
+    np.square(s, out=s)
+    np.subtract(norms, s, out=s)
+    np.maximum(s, 0.0, out=s)
+    s += SCORE_EPS
+    np.divide(1.0, s, out=s)
+    s /= s.max(axis=1, keepdims=True)
+    return s.sum(axis=0) / len(s)
+
+
+def window_spectra(spec, grid: SphereGrid, frames, hop_frames):
+    """``music_spectrum(spatial_covariance(spec, slice(s, s + frames)), grid)``
+    for the windows s = 0, ``hop_frames``, ..., bit for bit, one at a time.
+    The steering table and its norms are built once, not per window."""
+    tables = _steering(grid)
+    for s in range(0, spec.n_frames - frames + 1, hop_frames):
+        yield _scores(spatial_covariance(spec, slice(s, s + frames)), *tables)
 
 
 def music_estimate(signal, grid: SphereGrid):

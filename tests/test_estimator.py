@@ -188,6 +188,104 @@ def test_network_config_names_a_non_integer_stage_entry(field, index, value):
         NetworkConfig(**{field: tuple(values)})
 
 
+def with_trained_like_statistics(net, seed):
+    """Give every batch norm random running statistics and affine parameters
+    with gamma > 0, as training leaves them."""
+    rng = np.random.default_rng(seed)
+    for layer in net.layers:
+        if isinstance(layer, nn.BatchNorm2d):
+            c = len(layer.params["gamma"])
+            layer.buffers["run_mean"][...] = rng.normal(0.0, 0.3, c)
+            layer.buffers["run_var"][...] = rng.uniform(0.2, 2.0, c)
+            layer.params["gamma"][...] = rng.uniform(0.5, 1.5, c)
+            layer.params["beta"][...] = rng.normal(0.0, 0.3, c)
+
+
+def layer_order_trunk(net, x):
+    for layer in net.layers:
+        x = layer.forward(x)
+        if isinstance(layer, nn.FrameFlatten):
+            return x
+
+
+@pytest.mark.parametrize("case", ["fresh", "trained", "negative-gamma", "minus-inf"])
+@pytest.mark.parametrize("preset", ["tiny", "desk", "paper"])
+def test_inference_trunk_is_the_layer_order_trunk(preset, case, monkeypatch):
+    config = getattr(NetworkConfig, preset)()
+    net = build_network(config, Formulation("cartesian"), seed=5)
+    bns = [layer for layer in net.layers if isinstance(layer, nn.BatchNorm2d)]
+    if case != "fresh":
+        with_trained_like_statistics(net, 6)
+        # a -0.0 beta keeps the sign of a zero, so zero windows of the last
+        # stage's channel 0 pool to -0.0 or +0.0 by their first element
+        bns[-1].buffers["run_mean"][0], bns[-1].params["beta"][0] = 0.0, -0.0
+    if case == "negative-gamma":  # the second stage fails pool-first's precondition
+        bns[1].params["gamma"][1] = -0.5
+    stages = list(zip(net.layers[0::4], net.layers[3::4]))[: len(config.conv_channels)]
+    for conv, pool in stages:
+        k = pool.factor
+
+        # every sample's conv output gets ties, signed-zero ties and NaNs
+        # written in, and in one case a -inf, whose ReLU is NaN, in the first
+        def forward(x, train=False, conv=conv, k=k):
+            z = nn.Conv2d.forward(conv, x, train)
+            if case == "minus-inf" and conv is stages[0][0]:
+                z[:, 0, 0, k : 2 * k] = np.resize([2.0, -np.inf], k)
+            z[:, 0, :2, :k] = 1.25
+            z[:, 1, :2, :k] = -1.25
+            z[:, 0, 2, :k] = np.resize([-1.0, 0.0, -0.0, 0.0], k)
+            z[:, 1, 2, k : 2 * k] = np.resize([0.0, -0.0], k)
+            z[:, 0, 1, -k:] = np.resize([-1.0, np.nan, -np.nan, 2.0], k)
+            z[:, 1, -1, :k] = np.nan
+            return z
+
+        monkeypatch.setattr(conv, "forward", forward)
+    x = np.random.default_rng(7).uniform(
+        -0.8, 0.8, (2 if preset == "paper" else 12, 6, config.frames, config.freq_bins))
+    with np.errstate(invalid="ignore"):  # ReLU's -inf * 0 warns in either order
+        got, want = net.trunk(x), layer_order_trunk(net, x)
+    assert np.isnan(want).any()
+    assert got.tobytes() == want.tobytes()
+
+
+def test_inference_pools_before_relu_and_batch_norm(monkeypatch):
+    # a fresh network's batch norm maps every window of ReLU zeros to +0.0
+    net = build_network(NetworkConfig.desk(), Formulation("cartesian"), seed=3)
+    bns = [layer for layer in net.layers if isinstance(layer, nn.BatchNorm2d)]
+    bns[2].params["gamma"][0] = -1.0  # so the last stage runs in layer order
+    calls = []
+
+    def spy(forward):
+        def traced(layer, x, train=False):
+            y = forward(layer, x, train)
+            calls.append((type(layer), x.shape, y))
+            return y
+        return traced
+
+    for cls in (nn.Conv2d, nn.ReLU, nn.BatchNorm2d):
+        monkeypatch.setattr(cls, "forward", spy(cls.forward))
+    x = np.random.default_rng(8).uniform(-0.8, 0.8, (4, 6, 25, 129))
+    for train in (False, True):
+        calls.clear()
+        net.trunk(x, train)
+        convs = [i for i, call in enumerate(calls) if call[0] is nn.Conv2d]
+        assert len(convs) == 3
+        for stage, (a, b) in enumerate(zip(convs, [*convs[1:], len(calls)])):
+            (_, _, z), *rest = calls[a:b]
+            k = net.config.pool_factors[stage]
+            if train or stage == 2:  # layer order: both see the whole conv output
+                assert [(cls, shape) for cls, shape, _ in rest] == [
+                    (nn.ReLU, z.shape), (nn.BatchNorm2d, z.shape)]
+                continue
+            pooled = (*z.shape[:3], z.shape[3] // k)
+            (relu, relu_in, _), (bn, bn_in, y), *fixup = rest
+            assert (relu, relu_in, bn, bn_in) == (nn.ReLU, pooled, nn.BatchNorm2d, pooled)
+            # the fix-up takes the k elements of each zero or NaN window, no more
+            zero_or_nan = np.count_nonzero(~(np.abs(y) > 0))
+            assert zero_or_nan > 0
+            assert [(cls, shape) for cls, shape, _ in fixup] == [(nn.ReLU, (zero_or_nan, k))]
+
+
 class TestLosses:
     def test_categorical_perfect_prediction(self):
         z = np.full((1, 4, 10), -20.0)

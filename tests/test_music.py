@@ -11,6 +11,7 @@ from ambidoa.music import (
     music_estimate,
     music_spectrum,
     spatial_covariance,
+    window_spectra,
 )
 
 FS = 16000
@@ -132,6 +133,24 @@ class TestMusicSpectrum:
         bad[0, 0, 1] = 1.0  # asymmetric
         with pytest.raises(ValueError):
             CovarianceSet(matrices=bad)
+
+
+@pytest.mark.parametrize("hop", [1, 5])
+def test_track_scores_are_the_per_window_spectra(hop):
+    sig = mix_noise(plane_wave([0.6, 0.0, 0.8], n=24000, seed=11),
+                    speech_shaped_noise(24000, seed=12), 20.0)
+    spec = stft(sig, (24000 - 1024) // 512 + 1, window=1024)
+    frames = 25
+    got = list(window_spectra(spec, GRID, frames, hop))
+    starts = range(0, spec.n_frames - frames + 1, hop)
+    assert len(got) == len(starts) > 1
+    for s, scores in zip(starts, got):
+        cov = spatial_covariance(spec, slice(s, s + frames))
+        assert np.array_equal(music_spectrum(cov, GRID), scores)
+        # the covariance is the einsum it replaced, bit for bit
+        x = spec.bins[:, s : s + frames, band_to_bins(spec)]
+        assert np.array_equal(cov.matrices,
+                              np.einsum("ctb,dtb->bcd", x, np.conj(x), optimize=True) / frames)
 
 
 class TestMusicEstimate:
