@@ -262,31 +262,25 @@ def _pool_first(conv, relu, bn, pool, x):
     the bits of conv, ReLU, batch norm, max-pool, with ReLU and batch norm on
     1/k of the elements.
 
-    With finite running statistics and affine parameters, gamma > 0 and
-    inv = 1/sqrt(var + eps) > 0, every step of ReLU (x * (x > 0)) and of the
-    inference batch norm (x - mean, * inv, * gamma, + beta) is a monotone
+    With gamma > 0, and mean, gamma, beta and inv = 1/sqrt(var + eps) finite
+    (so inv >= 0), every step of ReLU (x * (x > 0)) and of the inference
+    batch norm (x - mean, * inv, * gamma, + beta) is a monotone
     non-decreasing map of the floats other than -inf, so the maximum of the
     mapped window is the map of its maximum as a value. Equal values carry
-    equal bits except zeros (+0.0, -0.0) and NaNs, so the windows that come
-    out zero or NaN take the layer-order value of just their own elements.
-    A stage that fails the condition, or whose conv output holds a -inf
-    (whose ReLU is NaN), runs in layer order.
+    equal bits except zeros (+0.0, -0.0) and NaNs, so a stage whose pooled
+    output holds a zero or a NaN runs again in layer order, as does a stage
+    that fails the condition or whose conv output holds a -inf (whose ReLU
+    is NaN).
     """
     z = conv.forward(x)
     gamma, beta = bn.params["gamma"], bn.params["beta"]
-    mean, var = bn.buffers["run_mean"], bn.buffers["run_var"]
-    inv = 1.0 / np.sqrt(var + nn.BN_EPS)
-    if not (np.isfinite([mean, inv, gamma, beta]).all() and (gamma > 0).all()
-            and (inv > 0).all() and np.fmin.reduce(z, axis=None) > -np.inf):
-        return pool.forward(bn.forward(relu.forward(z)))
-    y = bn.forward(relu.forward(pool.forward(z)))
-    if not y.all() or np.isnan(y).any():
-        fix = np.nonzero(~(np.abs(y) > 0))
-        c = fix[1][:, None]
-        v = relu.forward(pool._blocks(z)[fix])  # (windows, k)
-        v = (v - mean[c]) * inv[c] * gamma[c] + beta[c]  # the batch norm's steps, in order
-        y[fix] = v[np.arange(len(v)), v.argmax(axis=1)]  # the first maximum, as pooling takes
-    return y
+    inv = 1.0 / np.sqrt(bn.buffers["run_var"] + nn.BN_EPS)
+    if (np.isfinite([bn.buffers["run_mean"], inv, gamma, beta]).all() and (gamma > 0).all()
+            and np.fmin.reduce(z, axis=None) > -np.inf):
+        y = bn.forward(relu.forward(pool.forward(z)))
+        if y.all() and not np.isnan(y).any():
+            return y
+    return pool.forward(bn.forward(relu.forward(z)))
 
 
 def build_network(config: NetworkConfig, formulation: Formulation, seed=0):

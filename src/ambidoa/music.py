@@ -68,7 +68,7 @@ def spatial_covariance(spec, frames=slice(None)):
     return CovarianceSet(matrices=mats)
 
 
-def music_spectrum(cov: CovarianceSet, grid: SphereGrid):
+def music_spectrum(cov: CovarianceSet, grid: SphereGrid, steering=None):
     """Noise-subspace scores per grid class, one source assumed.
 
     All bins are eigendecomposed in one stacked ``eigh``. With a(d) the FOA
@@ -77,8 +77,16 @@ def music_spectrum(cov: CovarianceSet, grid: SphereGrid):
     a peak the difference cancels to about 1e-16 * ||a||^2, far below
     ``SCORE_EPS`` = 1e-12. Per-bin scores are averaged over the band after
     normalization to a unit maximum, so loud bins cannot dominate.
+    ``steering`` is ``_steering(grid)``, for a caller that scores many
+    covariances on one grid; by default it is built here.
     """
-    return _scores(cov, *_steering(grid))
+    steering, norms = _steering(grid) if steering is None else steering
+    vals, vecs = np.linalg.eigh(cov.matrices)  # ascending, so e_1 = vecs[:, :, 3]
+    if not np.all(np.isfinite(vals)):
+        raise np.linalg.LinAlgError("eigendecomposition produced non-finite values")
+    proj = np.maximum(norms - np.abs(np.conj(vecs[:, :, 3]) @ steering) ** 2, 0.0)
+    bin_scores = 1.0 / (proj + SCORE_EPS)
+    return (bin_scores / bin_scores.max(axis=1, keepdims=True)).sum(axis=0) / len(bin_scores)
 
 
 def _steering(grid):
@@ -88,28 +96,13 @@ def _steering(grid):
     return steering.T.astype(complex), np.einsum("ij,ij->i", steering, steering)
 
 
-def _scores(cov, steering, norms):
-    vals, vecs = np.linalg.eigh(cov.matrices)  # ascending, so e_1 = vecs[:, :, 3]
-    if not np.all(np.isfinite(vals)):
-        raise np.linalg.LinAlgError("eigendecomposition produced non-finite values")
-    # per-bin scores 1 / (max(||a||^2 - |e_1^H a|^2, 0) + eps), in one buffer
-    s = np.abs(np.conj(vecs[:, :, 3]) @ steering)
-    np.square(s, out=s)
-    np.subtract(norms, s, out=s)
-    np.maximum(s, 0.0, out=s)
-    s += SCORE_EPS
-    np.divide(1.0, s, out=s)
-    s /= s.max(axis=1, keepdims=True)
-    return s.sum(axis=0) / len(s)
-
-
 def window_spectra(spec, grid: SphereGrid, frames, hop_frames):
     """``music_spectrum(spatial_covariance(spec, slice(s, s + frames)), grid)``
-    for the windows s = 0, ``hop_frames``, ..., bit for bit, one at a time.
-    The steering table and its norms are built once, not per window."""
-    tables = _steering(grid)
+    for the windows s = 0, ``hop_frames``, ..., one at a time. The steering
+    table and its norms are built once, not per window."""
+    steering = _steering(grid)
     for s in range(0, spec.n_frames - frames + 1, hop_frames):
-        yield _scores(spatial_covariance(spec, slice(s, s + frames)), *tables)
+        yield music_spectrum(spatial_covariance(spec, slice(s, s + frames)), grid, steering)
 
 
 def music_estimate(signal, grid: SphereGrid):

@@ -225,8 +225,10 @@ def test_inference_trunk_is_the_layer_order_trunk(preset, case, monkeypatch):
     for conv, pool in stages:
         k = pool.factor
 
-        # every sample's conv output gets ties, signed-zero ties and NaNs
-        # written in, and in one case a -inf, whose ReLU is NaN, in the first
+        # every sample's conv output gets ties and signed-zero ties written
+        # in, the last stage's NaNs too (so only it runs again in layer order
+        # in the trained cases), and in one case the first stage's a -inf,
+        # whose ReLU is NaN
         def forward(x, train=False, conv=conv, k=k):
             z = nn.Conv2d.forward(conv, x, train)
             if case == "minus-inf" and conv is stages[0][0]:
@@ -235,8 +237,9 @@ def test_inference_trunk_is_the_layer_order_trunk(preset, case, monkeypatch):
             z[:, 1, :2, :k] = -1.25
             z[:, 0, 2, :k] = np.resize([-1.0, 0.0, -0.0, 0.0], k)
             z[:, 1, 2, k : 2 * k] = np.resize([0.0, -0.0], k)
-            z[:, 0, 1, -k:] = np.resize([-1.0, np.nan, -np.nan, 2.0], k)
-            z[:, 1, -1, :k] = np.nan
+            if conv is stages[-1][0]:
+                z[:, 0, 1, -k:] = np.resize([-1.0, np.nan, -np.nan, 2.0], k)
+                z[:, 1, -1, :k] = np.nan
             return z
 
         monkeypatch.setattr(conv, "forward", forward)
@@ -249,17 +252,16 @@ def test_inference_trunk_is_the_layer_order_trunk(preset, case, monkeypatch):
 
 
 def test_inference_pools_before_relu_and_batch_norm(monkeypatch):
-    # a fresh network's batch norm maps every window of ReLU zeros to +0.0
     net = build_network(NetworkConfig.desk(), Formulation("cartesian"), seed=3)
+    with_trained_like_statistics(net, 4)
     bns = [layer for layer in net.layers if isinstance(layer, nn.BatchNorm2d)]
     bns[2].params["gamma"][0] = -1.0  # so the last stage runs in layer order
     calls = []
 
     def spy(forward):
         def traced(layer, x, train=False):
-            y = forward(layer, x, train)
-            calls.append((type(layer), x.shape, y))
-            return y
+            calls.append((type(layer), x.shape))
+            return forward(layer, x, train)
         return traced
 
     for cls in (nn.Conv2d, nn.ReLU, nn.BatchNorm2d):
@@ -268,22 +270,35 @@ def test_inference_pools_before_relu_and_batch_norm(monkeypatch):
     for train in (False, True):
         calls.clear()
         net.trunk(x, train)
-        convs = [i for i, call in enumerate(calls) if call[0] is nn.Conv2d]
+        convs = [i for i, (cls, _) in enumerate(calls) if cls is nn.Conv2d]
         assert len(convs) == 3
         for stage, (a, b) in enumerate(zip(convs, [*convs[1:], len(calls)])):
-            (_, _, z), *rest = calls[a:b]
-            k = net.config.pool_factors[stage]
-            if train or stage == 2:  # layer order: both see the whole conv output
-                assert [(cls, shape) for cls, shape, _ in rest] == [
-                    (nn.ReLU, z.shape), (nn.BatchNorm2d, z.shape)]
-                continue
-            pooled = (*z.shape[:3], z.shape[3] // k)
-            (relu, relu_in, _), (bn, bn_in, y), *fixup = rest
-            assert (relu, relu_in, bn, bn_in) == (nn.ReLU, pooled, nn.BatchNorm2d, pooled)
-            # the fix-up takes the k elements of each zero or NaN window, no more
-            zero_or_nan = np.count_nonzero(~(np.abs(y) > 0))
-            assert zero_or_nan > 0
-            assert [(cls, shape) for cls, shape, _ in fixup] == [(nn.ReLU, (zero_or_nan, k))]
+            z = (4, net.config.conv_channels[stage], *calls[a][1][2:])
+            pooled = (*z[:3], z[3] // net.config.pool_factors[stage])
+            # layer order: both see the whole conv output
+            want = [(nn.ReLU, z), (nn.BatchNorm2d, z)]
+            if not (train or stage == 2):
+                want = [(nn.ReLU, pooled), (nn.BatchNorm2d, pooled)]
+            assert calls[a + 1 : b] == want
+
+
+def test_inference_stage_with_a_zero_runs_again_in_layer_order(monkeypatch):
+    # a fresh network's batch norm maps every window of ReLU zeros to +0.0
+    net = build_network(NetworkConfig.desk(), Formulation("cartesian"), seed=3)
+    calls = []
+    forward = nn.BatchNorm2d.forward
+
+    def spy(layer, x, train=False):
+        calls.append(x.shape)
+        return forward(layer, x, train)
+
+    monkeypatch.setattr(nn.BatchNorm2d, "forward", spy)
+    x = np.random.default_rng(8).uniform(-0.8, 0.8, (4, 6, 25, 129))
+    got = net.trunk(x)
+    monkeypatch.setattr(nn.BatchNorm2d, "forward", forward)
+    assert got.tobytes() == layer_order_trunk(net, x).tobytes()
+    c, k = net.config.conv_channels[0], net.config.pool_factors[0]
+    assert calls[:2] == [(4, c, 25, 129 // k), (4, c, 25, 129)]
 
 
 class TestLosses:
