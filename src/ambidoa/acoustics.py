@@ -59,9 +59,9 @@ class RoomConfig:
         ).copy()
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "absorption", absorption)
-        if dims.shape != (3,) or np.any(dims <= 0):
-            raise ValueError(f"room dims must be 3 positive lengths, got {self.dims}")
-        if np.any(absorption < 0) or np.any(absorption > 1):
+        if dims.shape != (3,) or not np.all(np.isfinite(dims) & (dims > 0)):
+            raise ValueError(f"room dims must be 3 finite positive lengths, got {dims}")
+        if not np.all((absorption >= 0) & (absorption <= 1)):
             raise ValueError(f"absorption must lie in [0, 1], got {self.absorption}")
         if not 0.0 <= self.scattering <= 1.0:
             raise ValueError(f"scattering must lie in [0, 1], got {self.scattering}")
@@ -93,7 +93,7 @@ class Scene:
         for name, p in (("source", source), ("listener", listener)):
             if p.shape != (3,):
                 raise ValueError(f"{name} must be a 3-point")
-            if np.any(p < WALL_MARGIN) or np.any(p > self.room.dims - WALL_MARGIN):
+            if not np.all((p >= WALL_MARGIN) & (p <= self.room.dims - WALL_MARGIN)):
                 raise ValueError(
                     f"{name} {p} violates the {WALL_MARGIN} m wall margin in room "
                     f"{self.room.dims}"
@@ -160,10 +160,8 @@ def sample_scenes(count, seed, pairs_per_room=3, absorption=None, scattering=Non
     uniform draw from U[0.1, 0.7] per room unless given; scattering one draw
     from U[0, 1] per room unless given. Deterministic for a fixed seed.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if pairs_per_room < 1:
-        raise ValueError("pairs_per_room must be >= 1")
+    _check_count("count", count, 1)
+    _check_count("pairs_per_room", pairs_per_room, 1)
     rng = np.random.default_rng(seed)
     scenes = []
     n_rooms = -(-count // pairs_per_room)

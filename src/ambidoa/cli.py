@@ -271,7 +271,9 @@ def cmd_music(args):
 
 def cmd_track(args):
     signal = read_wav(args.input)
-    truth = to_cartesian(np.radians(args.truth_azimuth), np.radians(args.truth_elevation))
+    with np.errstate(invalid="ignore"):  # track refuses a non-finite truth by name
+        truth = to_cartesian(np.radians(args.truth_azimuth),
+                             np.radians(args.truth_elevation))
     if args.model:
         if signal.sample_rate != RenderConfig.sample_rate:
             raise ValueError(f"{args.input}: sample rate {signal.sample_rate} Hz; a model "

@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from .acoustics import _check_count, image_source_paths, trace_paths
-from .estimator import (NetworkConfig, TrainConfig, _is_finite, _is_int, decode_outputs,
+from .estimator import (NetworkConfig, TrainConfig, _is_finite, decode_outputs,
                         predict, train)
 from .features import (
     babble_noise,
@@ -76,9 +76,7 @@ class RenderConfig:
             raise ValueError(f"unknown render method {self.method!r}")
         for name, least in (("sample_rate", 1), ("window", 2), ("frames", 1),
                             ("max_order", 0), ("n_rays", 1), ("max_bounces", 0)):
-            value = getattr(self, name)
-            if not _is_int(value) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            _check_count(name, getattr(self, name), least)
         for name in ("receiver_radius", "ir_seconds"):
             value = getattr(self, name)
             if not (_is_finite(value) and value > 0):
@@ -118,6 +116,9 @@ class SampleRecord:
     @staticmethod
     def from_json(line):
         d = json.loads(line)
+        for key in ("azimuth_deg", "elevation_deg", "snr_db"):
+            if not _is_finite(d[key]):
+                raise ValueError(f"{key} must be a finite number, got {d[key]!r}")
         label = to_cartesian(
             np.radians(d["azimuth_deg"]), np.radians(d["elevation_deg"])
         )
@@ -247,8 +248,7 @@ def render_dataset(scenes, out_dir, cfg: RenderConfig, seed=0, speech_dir=None,
     but wall time. Returns the record list; the manifest is written to
     out_dir/manifest.jsonl.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_count("workers", workers, 1)
     check_receiver_clearance(scenes, cfg)
     clips = _speech_clips(speech_dir, cfg.sample_rate)
     os.makedirs(out_dir, exist_ok=True)
@@ -325,7 +325,7 @@ class TrackResult:
     def __post_init__(self):
         if not (len(self.timestamps) == len(self.predictions) == len(self.errors)):
             raise ValueError("track arrays must share a length")
-        if np.any(self.errors < 0.0) or np.any(self.errors > 180.0):
+        if not np.all((self.errors >= 0.0) & (self.errors <= 180.0)):
             raise ValueError("angular errors must lie in [0, 180] degrees")
 
     def to_csv(self, path):
@@ -347,6 +347,9 @@ def track(window_predictor, signal, truth, hop_frames, frames=25, window=1024):
     for name, value, least in (("hop_frames", hop_frames, 1), ("frames", frames, 1),
                                ("window", window, 2)):
         _check_count(name, value, least)
+    truth = np.asarray(truth, dtype=np.float64)
+    if truth.shape != (3,) or not (np.isfinite(truth).all() and truth.any()):
+        raise ValueError(f"truth must be a finite, nonzero 3-vector, got {truth}")
     hop = window // 2
     total_frames = (signal.channels.shape[1] - window) // hop + 1
     if total_frames < frames:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .acoustics import _check_count
 from .foa import FoaSignal, foa_gains
 
 __all__ = [
@@ -208,10 +209,8 @@ def babble_noise(length, seed, sample_rate=16000, n_talkers=6):
     are. The realisation is that of shaping each stream on its own and then
     encoding it, up to rounding in the last bits.
     """
-    for name, value, least in (("length", length, 1024), ("n_talkers", n_talkers, 1)):
-        if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
-                or value < least):
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    _check_count("length", length, 1024)
+    _check_count("n_talkers", n_talkers, 1)
     rng = np.random.default_rng(seed)
     n_streams = n_talkers * len(_ICOSAHEDRON)
     white = rng.standard_normal((n_streams, _next_fast_len(length, False)))
@@ -250,11 +249,11 @@ def stft(signal: FoaSignal, frames, window=1024):
     Frame t covers samples [t*hop, t*hop + window) with hop = window // 2
     (50% overlap); no padding or centering, so the signal must be long enough.
     """
+    _check_count("frames", frames, 1)
+    _check_count("window", window, 2)
     hop = window // 2
     needed = (frames - 1) * hop + window
     n = signal.channels.shape[1]
-    if frames < 1:
-        raise ValueError("frames must be >= 1")
     if n < needed:
         raise ValueError(
             f"signal too short: {n} samples < {needed} needed for {frames} frames"

@@ -14,7 +14,6 @@ of BLAS threads.
 
 from __future__ import annotations
 
-import weakref
 from types import MappingProxyType
 
 import numpy as np
@@ -58,7 +57,12 @@ class Layer:
     to the array and ``grads`` maps the same names to same-shaped gradient
     accumulators; ``buffers`` holds untrained state a checkpoint keeps. The
     arrays live for the network's lifetime, so an optimizer can hold state
-    keyed by name."""
+    keyed by name.
+
+    ``backward`` follows a training forward (``train=True``): only that keeps
+    what ``backward`` reads. An inference forward keeps none of it, so no
+    activation outlives an inference pass, and ``backward`` after one
+    raises."""
 
     params = grads = buffers = MappingProxyType({})
 
@@ -83,7 +87,6 @@ class Conv2d(Layer):
         fan_in = c_in * 9
         self._declare(w=_uniform_init(rng, (c_out, c_in, 3, 3), fan_in),
                       b=_uniform_init(rng, (c_out,), fan_in))
-        self._xpad = None
 
     @staticmethod
     def _im2col(xpad_i, cols):
@@ -96,8 +99,9 @@ class Conv2d(Layer):
 
     def forward(self, x, train=False):
         b, c, t, f = x.shape
-        xpad = self._xpad = np.zeros((b, c, t + 2, f + 2))  # the border stays zero
+        xpad = np.zeros((b, c, t + 2, f + 2))  # the border stays zero
         xpad[:, :, 1:-1, 1:-1] = x
+        self._xpad = xpad if train else None
         w = self.params["w"].reshape(self.c_out, c * 9)
         cols = np.empty((c, 3, 3, t, f))
         out = np.empty((b, self.c_out, t, f))
@@ -142,13 +146,13 @@ class BatchNorm2d(Layer):
 
     Training mode normalizes by batch statistics and refreshes the running
     averages (momentum ``BN_MOMENTUM``); inference mode uses the running
-    averages. ``BN_EPS`` is added to the variance.
+    averages. ``BN_EPS`` is added to the variance. ``backward`` is that of
+    training mode, through the batch statistics.
     """
 
     def __init__(self, channels):
         self._declare(gamma=np.ones(channels), beta=np.zeros(channels))
         self.buffers = {"run_mean": np.zeros(channels), "run_var": np.ones(channels)}
-        self._cache = None
 
     def forward(self, x, train=False):
         b, c, t, f = x.shape
@@ -166,14 +170,15 @@ class BatchNorm2d(Layer):
             xhat = xv - mean[:, None]
         inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv[:, None]
-        self._cache = (xhat, inv, train)
+        self._cache = (xhat, inv) if train else None
         out = xhat * self.params["gamma"][:, None]
         out += self.params["beta"][:, None]
         return out.reshape(b, c, t, f)
 
     def backward(self, dy):
-        xhat, inv, train = self._cache
+        xhat, inv = self._cache
         b, c, t, f = dy.shape
+        n = b * t * f
         dyv = dy.reshape(b, c, t * f)
         sum_dy = np.einsum("bcn->c", dyv)
         sum_dyx = np.einsum("bcn,bcn->c", dyv, xhat)
@@ -181,17 +186,16 @@ class BatchNorm2d(Layer):
         self.grads["beta"] += sum_dy
         scale = self.params["gamma"] * inv
         dx = dyv * scale[:, None]
-        if train:
-            n = b * t * f
-            dx -= xhat * (scale * sum_dyx / n)[:, None]
-            dx -= (scale * sum_dy / n)[:, None]
+        dx -= xhat * (scale * sum_dyx / n)[:, None]
+        dx -= (scale * sum_dy / n)[:, None]
         return dx.reshape(b, c, t, f)
 
 
 class ReLU(Layer):
     def forward(self, x, train=False):
-        self._mask = x > 0
-        return x * self._mask
+        mask = x > 0
+        self._mask = mask if train else None
+        return x * mask
 
     def backward(self, dy):
         return dy * self._mask
@@ -205,10 +209,7 @@ class MaxPoolFreq(Layer):
     window's argmax, which ``backward`` routes the gradient to and the
     gradient check reads as the active piece. Inference mode takes
     ``np.maximum`` over the factor strided columns instead, a fraction of the
-    argmax's cost, and keeps only a weak reference to its input: a
-    ``backward`` after it finds each window's first maximum in that input
-    while the caller still holds it, and inference holds no activation
-    alive for a backward pass that never comes."""
+    argmax's cost."""
 
     def __init__(self, factor):
         self.factor = factor
@@ -219,8 +220,8 @@ class MaxPoolFreq(Layer):
         return x[:, :, :, : f // k * k].reshape(b, c, t, f // k, k)
 
     def forward(self, x, train=False):
-        self._in_bins = x.shape[3]
         if not train:
+            self._in_bins = self._argmax = None
             k = self.factor
             n = x.shape[3] // k * k
             out = x[..., 0:n:k].copy()
@@ -232,19 +233,12 @@ class MaxPoolFreq(Layer):
                 fix = np.nonzero(~(np.abs(out) > 0))
                 blocks = self._blocks(x)[fix]
                 out[fix] = blocks[np.arange(len(blocks)), blocks.argmax(axis=1)]
-            self._x, self._argmax = weakref.ref(x), None
             return out
         blocks = self._blocks(x)
-        self._x, self._argmax = None, blocks.argmax(axis=4)[..., None]
+        self._in_bins, self._argmax = x.shape[3], blocks.argmax(axis=4)[..., None]
         return np.take_along_axis(blocks, self._argmax, axis=4)[..., 0]
 
     def backward(self, dy):
-        if self._argmax is None:  # after an inference-mode forward
-            x = self._x()
-            if x is None:
-                raise RuntimeError("MaxPoolFreq.backward after an inference-mode "
-                                   "forward needs that forward's input alive")
-            self._argmax = self._blocks(x).argmax(axis=4)[..., None]
         b, c, t, f_out = dy.shape
         k = self.factor
         dx = np.zeros((b, c, t, self._in_bins))
@@ -258,7 +252,7 @@ class FrameFlatten(Layer):
     """(batch, channels, frames, bins) -> (batch, frames, channels * bins)."""
 
     def forward(self, x, train=False):
-        self._shape = x.shape
+        self._shape = x.shape if train else None
         b, c, t, f = x.shape
         return x.transpose(0, 2, 1, 3).reshape(b, t, c * f)
 
@@ -300,13 +294,13 @@ class BiLSTM(Layer):
     def forward(self, x, train=False):
         b, t, d = x.shape
         h = self.hidden
-        xs = self._xs = np.stack([x, x[:, ::-1]])
+        xs = np.stack([x, x[:, ::-1]])
         xw = (xs.reshape(2, b * t, d) @ self.w.transpose(0, 2, 1)).reshape(2, b, t, 4 * h)
         u_t = self.u.transpose(0, 2, 1)
         # slot 0 is the zero initial state and step s writes slot s + 1, so
         # slot s is the h_prev of step s
-        hs = self._hs = np.zeros((2, b, t + 1, h))
-        cache = []
+        hs = np.zeros((2, b, t + 1, h))
+        cache = [] if train else None
         c_prev = np.zeros((2, b, h))
         for step in range(t):
             z = xw[:, :, step] + hs[:, :, step] @ u_t
@@ -317,9 +311,10 @@ class BiLSTM(Layer):
             c = f * c_prev + i * g
             tanh_c = np.tanh(c)
             hs[:, :, step + 1] = o * tanh_c
-            cache.append((c_prev, i, f, g, o, tanh_c))
+            if train:
+                cache.append((c_prev, i, f, g, o, tanh_c))
             c_prev = c
-        self._cache = cache
+        self._xs, self._hs, self._cache = (xs, hs, cache) if train else (None,) * 3
         return np.concatenate([hs[0, :, 1:], hs[1, :, :0:-1]], axis=2)
 
     def backward(self, dy):
@@ -362,7 +357,7 @@ class TimeDense(Layer):
                       b=_uniform_init(rng, (d_out,), d_in))
 
     def forward(self, x, train=False):
-        self._x = x
+        self._x = x if train else None
         return x @ self.params["w"].T + self.params["b"]
 
     def backward(self, dy):

@@ -124,6 +124,16 @@ class TestTypes:
             RoomConfig(dims=(4, 5, 3), absorption=1.5)
         with pytest.raises(ValueError):
             RoomConfig(dims=(4, 5, 3), absorption=0.3, scattering=2.0)
+        # non-finite values are refused, each by its field
+        for kwargs, field in ((dict(dims=(4, np.nan, 3)), "dims"),
+                              (dict(dims=(4, np.inf, 3)), "dims"),
+                              (dict(dims=(-np.inf, 5, 3)), "dims"),
+                              (dict(absorption=np.nan), "absorption"),
+                              (dict(absorption=(0.3, np.nan, 0.3)), "absorption"),
+                              (dict(absorption=np.inf), "absorption"),
+                              (dict(scattering=np.nan), "scattering")):
+            with pytest.raises(ValueError, match=field):
+                RoomConfig(**{"dims": (4, 5, 3), "absorption": 0.3, **kwargs})
 
     def test_scene_enforces_margin(self):
         room = RoomConfig(dims=(4, 5, 3), absorption=0.3)
@@ -131,6 +141,11 @@ class TestTypes:
             Scene(room=room, source=(0.2, 1, 1), listener=(3, 4, 2))
         with pytest.raises(ValueError):
             Scene(room=room, source=(1, 1, 1), listener=(3.9, 4, 2))
+        for name, bad in (("source", (1, np.nan, 1)), ("listener", (np.inf, 4, 2)),
+                          ("listener", (3, 4, -np.inf))):
+            points = {"source": (1, 1, 1), "listener": (3, 4, 2), name: bad}
+            with pytest.raises(ValueError, match=f"^{name} "):
+                Scene(room=room, **points)
 
     def test_scene_rejects_coincident_points(self):
         room = RoomConfig(dims=(4, 5, 3), absorption=0.3)
@@ -196,6 +211,15 @@ class TestSampleScenes:
         scenes = sample_scenes(40, seed=1, pairs_per_room=1)
         dims = np.stack([sc.room.dims for sc in scenes])
         assert np.all(dims >= DIMS_MIN) and np.all(dims <= DIMS_MAX)
+
+    @pytest.mark.parametrize("name, value", [
+        ("count", 0), ("count", 2.5), ("count", True), ("count", "2"),
+        ("pairs_per_room", 0), ("pairs_per_room", 1.5), ("pairs_per_room", True),
+    ])
+    def test_bad_counts_are_refused_by_name(self, name, value):
+        kwargs = {"count": 2, "pairs_per_room": 3, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+            sample_scenes(seed=0, **kwargs)
 
     def test_deterministic(self):
         a = sample_scenes(6, seed=123)

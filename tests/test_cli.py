@@ -149,6 +149,13 @@ class TestPipeline:
         assert run_meta["subcommand"] == "render"
         assert run_meta["resolved"]["seed"] == 32
 
+    def test_nan_absorption_is_refused_before_any_scene(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        assert run(["simulate", "--count", "2", "--absorption", "nan",
+                    "--out", str(sim)]) == 2
+        assert "absorption must lie in [0, 1]" in capsys.readouterr().err
+        assert not (sim / "scenes.json").exists()
+
     def test_negative_max_bounces_is_refused_before_any_ir(self, tmp_path, capsys):
         sim = tmp_path / "sim"
         assert run([
@@ -412,6 +419,14 @@ class TestMusicAndTrack:
         assert run([command, "--input", str(wav), *extra]) == 2
         assert f"error: {wav}: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("angles", [("nan", "10"), ("40", "inf"), ("-inf", "10")])
+    def test_track_refuses_a_non_finite_truth(self, wave_file, tmp_path, capsys, angles):
+        csv = tmp_path / "track.csv"
+        assert run(["track", "--input", str(wave_file), f"--truth-azimuth={angles[0]}",
+                    f"--truth-elevation={angles[1]}", "--hop", "8", "--out", str(csv)]) == 2
+        assert "error: truth must be a finite, nonzero 3-vector" in capsys.readouterr().err
+        assert not csv.exists()
 
     def test_only_music_tracks_a_recording_at_another_sample_rate(self, tmp_path,
                                                                    capsys):

@@ -108,7 +108,7 @@ class TestRenderDataset:
         for name in sorted(os.listdir(a)):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    @pytest.mark.parametrize("workers", [0, -1])
+    @pytest.mark.parametrize("workers", [0, -1, 2.5, True])
     def test_workers_below_one_rejected(self, tmp_path, workers):
         scenes = sample_scenes(1, seed=1, pairs_per_room=1, absorption=0.8)
         with pytest.raises(ValueError, match="workers"):
@@ -191,10 +191,19 @@ class TestRenderDataset:
     ('{"features_path": "a.adoa", "azimuth_deg": 10.0, "elevation_deg": 0.0, '
      '"snr_db": 5.0, "method": "image"}', "missing field 'scene_id'"),
     ('{"features_path": "a.adoa", "azimuth_deg": "east", "elevation_deg": 0.0}',
-     "ufunc 'radians' not supported"),
+     "azimuth_deg must be a finite number, got 'east'"),
     ('{"features_path": "a.adoa", ', "Expecting property name"),
     ("[1, 2]", "list indices must be integers"),
-], ids=["no-elevation", "no-scene-id", "text-azimuth", "cut-json", "not-an-object"])
+    ('{"features_path": "a.adoa", "azimuth_deg": NaN, "elevation_deg": 0.0, '
+     '"snr_db": 5.0}', "azimuth_deg must be a finite number, got nan"),
+    ('{"features_path": "a.adoa", "azimuth_deg": 10.0, "elevation_deg": -Infinity, '
+     '"snr_db": 5.0}', "elevation_deg must be a finite number, got -inf"),
+    ('{"features_path": "a.adoa", "azimuth_deg": 10.0, "elevation_deg": 0.0, '
+     '"snr_db": Infinity}', "snr_db must be a finite number, got inf"),
+    ('{"features_path": "a.adoa", "azimuth_deg": 10.0, "elevation_deg": 0.0, '
+     '"snr_db": "5"}', "snr_db must be a finite number, got '5'"),
+], ids=["no-elevation", "no-scene-id", "text-azimuth", "cut-json", "not-an-object",
+        "nan-azimuth", "inf-elevation", "inf-snr", "text-snr"])
 def test_bad_manifest_line_names_the_file_and_line(tmp_path, line, message):
     good = SampleRecord(features_path="x.adoa", label=to_cartesian(0.3, -0.2),
                         scene_id=0, snr_db=10.0, method="image").to_json()
@@ -383,6 +392,9 @@ class TestMetrics:
                 predictions=np.array([[1.0, 0, 0]]),
                 errors=np.array([200.0]),
             )
+        with pytest.raises(ValueError, match=r"\[0, 180\]"):
+            TrackResult(timestamps=np.zeros(2), predictions=np.eye(3)[:2],
+                        errors=np.array([3.0, np.nan]))
 
 
 class TestTrack:
@@ -490,6 +502,20 @@ class TestTrack:
         kwargs = {"hop_frames": 1, "frames": 25, "window": 256, field: value}
         with pytest.raises(ValueError, match=rf"^{field} must be an integer >= "):
             track(music_window_predictor(build_grid(10.0)), sig, (1.0, 0.0, 0.0), **kwargs)
+
+    @pytest.mark.parametrize("truth", [
+        (np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0),
+        ((1.0, 0.0, 0.0),),
+    ], ids=["nan", "inf", "zero", "two-vector", "nested"])
+    def test_track_refuses_a_bad_truth_before_the_stft(self, monkeypatch, truth):
+        def no_stft(*args, **kwargs):
+            raise AssertionError("stft ran")
+
+        monkeypatch.setattr(evaluate, "stft", no_stft)
+        sig = encode_plane_wave(np.ones(6000), to_cartesian(0.0, 0.0), 16000)
+        with pytest.raises(ValueError, match=r"^truth must be a finite, nonzero 3-vector"):
+            track(music_window_predictor(build_grid(10.0)), sig, truth, 1,
+                  frames=25, window=256)
 
     def test_track_accepts_numpy_integer_geometry(self):
         sig = encode_plane_wave(np.ones(6000), to_cartesian(0.0, 0.0), 16000)

@@ -295,6 +295,16 @@ class TestStft:
         with pytest.raises(ValueError):
             stft(sig, frames=25)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"frames": 0}, "frames"), ({"frames": 2.5}, "frames"), ({"frames": True}, "frames"),
+        ({"window": 1}, "window"), ({"window": 0}, "window"), ({"window": 256.0}, "window"),
+        ({"window": True}, "window"),
+    ])
+    def test_bad_geometry_is_refused_by_name(self, kwargs, field):
+        sig = FoaSignal(channels=np.zeros((4, 4000)), sample_rate=FS)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
+            stft(sig, **{"frames": 2, "window": 256, **kwargs})
+
 
 class TestIntensityFeatures:
     def test_plane_wave_oracle(self):
