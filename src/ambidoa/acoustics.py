@@ -112,8 +112,8 @@ class PathSet:
 
     Both propagation methods return their arrivals sorted by delay, equal
     delays in the order the method produced them (a stable sort).
-    ``evaluate.propagate`` relies on it: the arrivals inside the impulse
-    response buffer are a prefix, kept as a slice.
+    ``evaluate.propagate`` relies on it: the arrivals before its delay limit
+    and inside the impulse response buffer are a prefix, kept as a slice.
     """
 
     directions: np.ndarray  # (n, 3) float64 unit vectors, C-contiguous
@@ -343,7 +343,8 @@ def _stable_argsort(keys):
     return order
 
 
-def trace_paths(scene: Scene, n_rays, max_bounces, receiver_radius, rng_seed=0):
+def trace_paths(scene: Scene, n_rays, max_bounces, receiver_radius, rng_seed=0,
+                max_delay=np.inf):
     """Monte-Carlo arrivals from uniform ray emission at the source.
 
     Rays reflect up to ``max_bounces`` times; at each wall hit the energy keeps
@@ -355,6 +356,9 @@ def trace_paths(scene: Scene, n_rays, max_bounces, receiver_radius, rng_seed=0):
     budget. A caught ray leaves the population: later steps see only rays in
     flight. Specular crossing delays are corrected to the exact image-source
     delay via the unfolded-path identity d = hypot(path, miss_distance).
+    Only arrivals with delay below ``max_delay`` seconds are kept, and a ray
+    retires once its next wall lies that far away in travel: none of its later
+    arrivals could come sooner, so only the draws of later bounces change.
 
     Ray positions and directions are (3, n) arrays, one C-contiguous row per
     component, and the room dimensions and listener (3, 1) columns, so each
@@ -370,6 +374,8 @@ def trace_paths(scene: Scene, n_rays, max_bounces, receiver_radius, rng_seed=0):
         )
     if np.linalg.norm(scene.source - scene.listener) <= receiver_radius:
         raise ValueError("source lies inside the receiver sphere")
+    if not max_delay > 0:
+        raise ValueError(f"max_delay must be > 0 seconds, got {max_delay!r}")
 
     rng = np.random.default_rng(rng_seed)
     listener = scene.listener[:, None]
@@ -390,7 +396,7 @@ def trace_paths(scene: Scene, n_rays, max_bounces, receiver_radius, rng_seed=0):
              [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=bool)])
 
     def emit(directions, delays, energies, order, diffuse_flags):
-        keep = energies > 0.0
+        keep = (energies > 0.0) & (delays < max_delay)
         for part, field in zip(parts, (directions, delays, np.sqrt(energies),
                                        np.full(len(energies), order, dtype=np.int64),
                                        diffuse_flags)):
@@ -423,8 +429,10 @@ def trace_paths(scene: Scene, n_rays, max_bounces, receiver_radius, rng_seed=0):
             bounce,
             had_diffuse[detected],
         )
+        # dividing as the delays do keeps an arrival's delay >= its ray's reach
+        flying = ~detected & ((traveled + t_hit) / SPEED_OF_SOUND < max_delay)
         pos, direction, energy, traveled, had_diffuse, hit_axis, t_hit = (
-            a.compress(~detected, axis=-1)
+            a.compress(flying, axis=-1)
             for a in (pos, direction, energy, traveled, had_diffuse, hit_axis, t_hit)
         )
 

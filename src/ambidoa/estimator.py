@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import nn
+from .acoustics import _check_count
 from .features import intensity_features
 from .geometry import (
     SphereGrid,
@@ -84,7 +85,7 @@ class Formulation:
         return 3 if self.kind == "cartesian" else 2
 
 
-def _is_int(value):
+def _is_int(value):  # NetworkConfig's: its checkpoint JSON refuses numpy integers
     return isinstance(value, int) and not isinstance(value, bool)
 
 
@@ -185,9 +186,7 @@ class TrainConfig:
             raise ValueError(
                 f"learning_rate must be finite and >= 0, got {self.learning_rate!r}")
         for name, least in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not _is_int(value) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            _check_count(name, getattr(self, name), least)
         if not (_is_finite(self.val_fraction) and 0.0 <= self.val_fraction < 1.0):
             raise ValueError(f"val_fraction must lie in [0, 1), got {self.val_fraction!r}")
 
@@ -530,7 +529,7 @@ def train(features, unit_labels, formulation: Formulation, cfg: TrainConfig,
     net = build_network(config, formulation, seed=cfg.seed)
     labels = labels_for(formulation, unit_labels)
 
-    rng = np.random.default_rng(cfg.seed + 0x5EED)
+    rng = np.random.default_rng(int(cfg.seed) + 0x5EED)
     order = rng.permutation(n)
     n_val = int(round(n * cfg.val_fraction))
     val_idx = order[:n_val]

@@ -90,6 +90,11 @@ class RenderConfig:
         """Impulse-response buffer length in samples."""
         return int(round(self.ir_seconds * self.sample_rate))
 
+    @property
+    def feature_span(self):
+        """The features read samples [0, feature_span) of a rendered sample."""
+        return (self.frames - 1) * (self.window // 2) + self.window
+
 
 @dataclass(frozen=True)
 class SampleRecord:
@@ -119,13 +124,18 @@ class SampleRecord:
         for key in ("azimuth_deg", "elevation_deg", "snr_db"):
             if not _is_finite(d[key]):
                 raise ValueError(f"{key} must be a finite number, got {d[key]!r}")
+        _check_count("scene_id", d["scene_id"], 0)
+        if not isinstance(d["features_path"], str):
+            raise ValueError(f"features_path must be a string, got {d['features_path']!r}")
+        if d["method"] not in ("image", "trace"):
+            raise ValueError(f"method must be 'image' or 'trace', got {d['method']!r}")
         label = to_cartesian(
             np.radians(d["azimuth_deg"]), np.radians(d["elevation_deg"])
         )
         return SampleRecord(
             features_path=d["features_path"],
             label=label,
-            scene_id=int(d["scene_id"]),
+            scene_id=d["scene_id"],
             snr_db=float(d["snr_db"]),
             method=d["method"],
         )
@@ -137,10 +147,11 @@ def sample_rng(seed, i):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
 
 
-def propagate(scene, cfg: RenderConfig, rng):
-    """Arrivals of one sample whose delay rounds, as in :func:`encode_srir`,
-    to a sample inside the ``cfg.ir_length`` buffer. The tracer seed is always
-    the first draw from ``rng``, the sample's generator, whatever the method."""
+def propagate(scene, cfg: RenderConfig, rng, max_delay=np.inf):
+    """Arrivals of one sample with delay below ``max_delay`` seconds (the tracer
+    stops there) that round, as in :func:`encode_srir`, to a sample inside the
+    ``cfg.ir_length`` buffer. The tracer seed is always the first draw from
+    ``rng``, the sample's generator, whatever the method."""
     trace_seed = int(rng.integers(1 << 62))
     if cfg.method == "image":
         paths = image_source_paths(scene, cfg.max_order)
@@ -151,9 +162,11 @@ def propagate(scene, cfg: RenderConfig, rng):
             max_bounces=cfg.max_bounces,
             receiver_radius=cfg.receiver_radius,
             rng_seed=trace_seed,
+            max_delay=max_delay,
         )
-    # arrivals come sorted by delay, so the ones inside the buffer are a prefix
-    count = np.count_nonzero(np.rint(paths.delays * cfg.sample_rate) < cfg.ir_length)
+    # arrivals come sorted by delay, so the ones kept are a prefix
+    count = np.count_nonzero((np.rint(paths.delays * cfg.sample_rate) < cfg.ir_length)
+                             & (paths.delays < max_delay))
     return paths.select(slice(0, count))
 
 
@@ -200,7 +213,7 @@ def _render_one(i, scene, cfg: RenderConfig, root_entropy, clips, out_dir):
     rng = sample_rng(root_entropy, i)
     fs = cfg.sample_rate
     clip_len = fs  # the one-second speech clip
-    ir = encode_srir(propagate(scene, cfg, rng), fs, cfg.ir_length)
+    ir = encode_srir(propagate(scene, cfg, rng, cfg.feature_span / fs), fs, cfg.ir_length)
 
     if clips is None:
         dry = synthetic_speech(clip_len, seed=int(rng.integers(1 << 62)), sample_rate=fs)

@@ -466,6 +466,44 @@ class TestTracer:
         for f in fields(PathSet):
             np.testing.assert_array_equal(getattr(numpy_ints, f.name), getattr(ints, f.name))
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_delay_limit_keeps_the_earlier_specular_arrivals_bit_for_bit(self, seed):
+        # without scattering no draw follows the first, so the limited trace is
+        # the unlimited one's prefix before the limit, in every field
+        scene = sample_scenes(1, seed=40 + seed, scattering=0.0)[0]
+        full = trace_paths(scene, n_rays=4000, max_bounces=40, receiver_radius=0.3,
+                           rng_seed=seed)
+        limited = trace_paths(scene, n_rays=4000, max_bounces=40, receiver_radius=0.3,
+                              rng_seed=seed, max_delay=0.05)
+        expected = full.select(full.delays < 0.05)
+        assert 0 < len(limited) < len(full)
+        for f in fields(PathSet):
+            np.testing.assert_array_equal(getattr(limited, f.name),
+                                          getattr(expected, f.name))
+
+    def test_a_delay_limit_keeps_the_received_energy_before_it(self):
+        # with scattering the later draws differ, so the energy before the limit
+        # agrees only within Monte-Carlo error
+        scene = demo_scene(alpha=0.15, scattering=0.5)
+        full, limited = [], []
+        for seed in range(4):
+            a = trace_paths(scene, n_rays=3000, max_bounces=40, receiver_radius=0.3,
+                            rng_seed=seed)
+            b = trace_paths(scene, n_rays=3000, max_bounces=40, receiver_radius=0.3,
+                            rng_seed=seed, max_delay=0.05)
+            assert len(b) and np.all(b.delays < 0.05) and b.emitted_energy == 1.0
+            assert b.diffuse.any()
+            full.append(a.select(a.delays < 0.05).received_energy)
+            limited.append(b.received_energy)
+        spread = np.std(full, ddof=1) / np.sqrt(len(full))
+        assert abs(np.mean(limited) - np.mean(full)) <= 3.0 * spread
+
+    @pytest.mark.parametrize("max_delay", [0.0, -0.1, np.nan])
+    def test_a_delay_limit_that_keeps_nothing_is_refused_by_name(self, max_delay):
+        with pytest.raises(ValueError, match="max_delay must be > 0"):
+            trace_paths(demo_scene(), n_rays=10, max_bounces=2, receiver_radius=0.3,
+                        max_delay=max_delay)
+
 
 class TestReverbOracles:
     def test_edc_of_single_impulse(self):

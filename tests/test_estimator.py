@@ -550,6 +550,27 @@ def test_train_config_edge_values_stay_valid():
     TrainConfig(val_fraction=0.0, epochs=1, seed=0)
 
 
+def test_train_config_takes_numpy_integers_as_the_python_ones():
+    # one integer policy with RenderConfig: a count read from an array is a count
+    x = np.random.default_rng(0).uniform(-0.8, 0.8, (6, 6, TINY.frames, TINY.freq_bins))
+    u = np.tile([0.0, 0.0, 1.0], (6, 1))
+    results = [train(x, u, Formulation("cartesian"), cfg, config=TINY) for cfg in (
+        TrainConfig(batch_size=4, epochs=2, seed=3, val_fraction=0.3),
+        TrainConfig(batch_size=np.int32(4), epochs=np.int64(2), seed=np.uint8(3),
+                    val_fraction=0.3))]
+    (net, history), (np_net, np_history) = results
+    assert json.dumps(np_history) == json.dumps(history)
+    for name, value in net.params.items():
+        np.testing.assert_array_equal(np_net.params[name], value)
+
+
+@pytest.mark.parametrize("field", SIZE_FIELDS)
+def test_network_config_refuses_numpy_integers(field):
+    # its values are written to checkpoint JSON, which cannot hold a numpy integer
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        NetworkConfig(**{field: np.int64(getattr(NetworkConfig(), field))})
+
+
 def test_train_config_fields_cannot_be_assigned():
     cfg = TrainConfig()
     with pytest.raises(FrozenInstanceError):

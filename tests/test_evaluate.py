@@ -47,7 +47,7 @@ from ambidoa.evaluate import (
     track,
 )
 from ambidoa.features import Spectrogram, intensity_features, stft
-from ambidoa.foa import encode_plane_wave, encode_srir
+from ambidoa.foa import FoaSignal, encode_plane_wave, encode_srir
 from ambidoa.geometry import build_grid, great_circle, to_cartesian
 from ambidoa.music import music_spectrum, spatial_covariance
 
@@ -202,8 +202,26 @@ class TestRenderDataset:
      '"snr_db": Infinity}', "snr_db must be a finite number, got inf"),
     ('{"features_path": "a.adoa", "azimuth_deg": 10.0, "elevation_deg": 0.0, '
      '"snr_db": "5"}', "snr_db must be a finite number, got '5'"),
+    ('{"features_path": "a.adoa", "azimuth_deg": 10.0, "elevation_deg": 0.0, '
+     '"snr_db": 5.0, "scene_id": 2.9, "method": "image"}',
+     "scene_id must be an integer >= 0, got 2.9"),
+    ('{"features_path": "a.adoa", "azimuth_deg": 10.0, "elevation_deg": 0.0, '
+     '"snr_db": 5.0, "scene_id": true, "method": "image"}',
+     "scene_id must be an integer >= 0, got True"),
+    ('{"features_path": "a.adoa", "azimuth_deg": 10.0, "elevation_deg": 0.0, '
+     '"snr_db": 5.0, "scene_id": -1, "method": "image"}',
+     "scene_id must be an integer >= 0, got -1"),
+    ('{"features_path": "a.adoa", "azimuth_deg": 10.0, "elevation_deg": 0.0, '
+     '"snr_db": 5.0, "scene_id": 2, "method": 7}', "method must be 'image' or 'trace', got 7"),
+    ('{"features_path": 5, "azimuth_deg": 10.0, "elevation_deg": 0.0, '
+     '"snr_db": 5.0, "scene_id": 2, "method": "image"}', "features_path must be a string, got 5"),
+    ('{"features_path": null, "azimuth_deg": 10.0, "elevation_deg": 0.0, '
+     '"snr_db": 5.0, "scene_id": 2, "method": "trace"}',
+     "features_path must be a string, got None"),
 ], ids=["no-elevation", "no-scene-id", "text-azimuth", "cut-json", "not-an-object",
-        "nan-azimuth", "inf-elevation", "inf-snr", "text-snr"])
+        "nan-azimuth", "inf-elevation", "inf-snr", "text-snr", "fractional-scene-id",
+        "boolean-scene-id", "negative-scene-id", "number-method", "number-path",
+        "null-path"])
 def test_bad_manifest_line_names_the_file_and_line(tmp_path, line, message):
     good = SampleRecord(features_path="x.adoa", label=to_cartesian(0.3, -0.2),
                         scene_id=0, snr_db=10.0, method="image").to_json()
@@ -300,6 +318,20 @@ class TestPropagate:
         for f in fields(PathSet):
             np.testing.assert_array_equal(getattr(kept, f.name), getattr(expected, f.name))
 
+    @pytest.mark.parametrize("method", ["image", "trace"])
+    def test_a_delay_limit_keeps_the_earlier_arrivals(self, method):
+        # without scattering the tracer's limited set is the unlimited one's
+        # prefix, so for both methods the limit only cuts the delay-sorted set
+        room = RoomConfig(dims=(4.0, 5.0, 3.0), absorption=0.2, scattering=0.0)
+        scene = Scene(room=room, source=(1.0, 1.0, 1.0), listener=(3.0, 4.0, 2.0))
+        cfg = RenderConfig(method=method, max_order=6, n_rays=3000, max_bounces=20)
+        full = propagate(scene, cfg, sample_rng(5, 1))
+        kept = propagate(scene, cfg, sample_rng(5, 1), max_delay=0.04)
+        expected = full.select(full.delays < 0.04)
+        assert 0 < len(kept) < len(full)
+        for f in fields(PathSet):
+            np.testing.assert_array_equal(getattr(kept, f.name), getattr(expected, f.name))
+
     def test_tracer_seed_is_the_first_draw_for_every_method(self):
         scene = sample_scenes(1, seed=4)[0]
         after = []
@@ -308,6 +340,38 @@ class TestPropagate:
             propagate(scene, RenderConfig(method=method, n_rays=200), rng)
             after.append(rng.integers(1 << 62))
         assert after[0] == after[1]
+
+
+@pytest.mark.parametrize("window, span", [(256, 3328), (1024, 13312)])
+def test_feature_span_is_the_length_the_stft_reads(window, span):
+    cfg = RenderConfig(window=window)
+    assert cfg.feature_span == span
+    signal = FoaSignal(np.ones((4, span)), cfg.sample_rate)
+    assert stft(signal, frames=cfg.frames, window=window).n_frames == cfg.frames
+    with pytest.raises(ValueError, match=f"{span - 1} samples < {span} needed"):
+        stft(FoaSignal(signal.channels[:, 1:], cfg.sample_rate), cfg.frames, window)
+
+
+@pytest.mark.parametrize("cfg", [RenderConfig(),
+                                 RenderConfig(method="trace", n_rays=2000)],
+                         ids=["image", "trace"])
+def test_render_traces_to_the_end_of_the_feature_span(tmp_path, monkeypatch, cfg):
+    # the image method has no arrival past the span at the default order, so
+    # its IR is the unlimited one; the tracer stops at the span
+    irs = []
+    monkeypatch.setattr(evaluate, "encode_srir",
+                        lambda *args: irs.append(encode_srir(*args)) or irs[-1])
+    scenes = sample_scenes(3, seed=21, pairs_per_room=1)
+    render_dataset(scenes, tmp_path, cfg, seed=9)
+    span = cfg.feature_span / cfg.sample_rate
+    for i, (scene, ir) in enumerate(zip(scenes, irs)):
+        limited = propagate(scene, cfg, sample_rng(9, i), max_delay=span)
+        full = propagate(scene, cfg, sample_rng(9, i))
+        expected = limited if cfg.method == "trace" else full
+        np.testing.assert_array_equal(
+            ir.channels, encode_srir(expected, cfg.sample_rate, cfg.ir_length).channels)
+        assert np.flatnonzero(ir.channels[0]).max() <= cfg.feature_span
+        assert (len(limited) < len(full)) == (cfg.method == "trace")
 
 
 def _net_with_running_stats(config, seed):
